@@ -80,6 +80,8 @@ def _eval_h_token(token: str, a: int) -> int:
             if isinstance(n.op, ast.Mult):
                 return left * right
             if isinstance(n.op, (ast.Div, ast.FloorDiv)):
+                if right == 0:
+                    raise InvalidArgumentError(f"h-grid token divides by zero: {token!r}")
                 return left // right
         raise InvalidArgumentError(f"bad h-grid token: {token!r}")
 
@@ -203,6 +205,8 @@ def cmd_verify(args) -> int:
         raise InvalidArgumentError("give either --a/--b/--h or --max, not both")
     if not single and args.max is None:
         raise InvalidArgumentError("verify needs --a/--b/--h or --max")
+    if args.max is not None and args.max < 2:
+        raise InvalidArgumentError(f"--max must be >= 2, got {args.max}")
 
     grid = DEFAULT_H_GRID if args.h_grid is None else tuple(args.h_grid.split(","))
     checked = 0

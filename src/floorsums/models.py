@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
+from .numeric import require_ints
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,7 @@ class Instance:
     h: int
 
     def __post_init__(self):
+        require_ints(self.a, self.b, self.h)
         if self.a < 1:
             raise InvalidArgumentError(f"a must be >= 1, got {self.a}")
         if self.b < 0:

@@ -28,6 +28,13 @@ def to_rational(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
+def require_ints(a, b, h) -> None:
+    """Raise InvalidArgumentError unless a, b and h are all ints (a bool is not)."""
+    for x in (a, b, h):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise InvalidArgumentError(f"a, b and h must be ints, got ({a!r}, {b!r}, {h!r})")
+
+
 def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     """Extended Euclid: return (g, u, v) with g = gcd(x, y) > 0 and u*x + v*y = g."""
     if x == 0 and y == 0:

@@ -12,6 +12,20 @@ the division step
 
 shrinks b, so alternating the two walks down a Euclidean remainder chain in
 O(log max(a,b)) steps.  All arithmetic is exact rational.
+
+With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
+sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
+polynomials:
+
+    12ab*eta2 = 3a^2(b+2)H(H+1) + 3b^2(a+2)h(h+1) - aH(b+1)(b+5)
+                - bh(a+1)(a+5) - b(a-1)(a-5)
+                - n0(a^2 - 3ab - 6a + b^2 + 6b + 5) + 3(a-b-2)n0^2 - 2n0^3
+    gamma     = (a^2 + 3ab - 3a + b^2 - 3b + 1) / (12ab)
+    eta1      = (n+1)(n+2)/2 + (a-1)(b-1)(2ab - a - b - 6n - 7)/12 - eta2
+
+S(a,b;h) lies in Z/(2a) and S(b,a;H) in Z/(2b), so eta2 lies in Z/(2ab):
+the right-hand side above is always divisible by 6, and each reciprocity
+step adds the single rational (2ab*eta2) / (2ab).
 """
 
 import math
@@ -21,7 +35,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import floor_sum
 from .models import Instance
-from .numeric import _Q, floor_mod, mod_inverse, sum_first, to_rational
+from .numeric import _Q, require_ints, sum_first, to_rational
 from .trace import RULE_BASE, RULE_DIVISION, RULE_PERIOD, RULE_RECIPROCITY
 
 
@@ -41,6 +55,7 @@ class ReciprocityTerms:
 
 
 def _canonical(a, b, h):
+    require_ints(a, b, h)
     if a < 1 or b < 0 or h < 0:
         raise InvalidArgumentError(f"need a >= 1, b >= 0, h >= 0, got ({a}, {b}, {h})")
     g = math.gcd(a, b)
@@ -48,40 +63,27 @@ def _canonical(a, b, h):
 
 
 def _terms(a, b, h):
-    # Internal variant of reciprocity_terms that keeps the fast rational type.
-    n0 = floor_mod(-b * (h + 1), a)
+    # Returns n0, n, n1, H and the integer 2ab*eta2 for coprime a >= 2, b >= 1.
+    n0 = -b * (h + 1) % a
     n = a * b - a + n0
-    n1 = floor_mod(-n * mod_inverse(a, b), b)
-    if n1 == 0:
-        # Remainder 0 is promoted to b so that H = n1 - 1 stays >= 0; the
-        # reciprocity is false under the H = -1 reading.
-        n1 = b
+    # Remainder 0 is promoted to b so that H = n1 - 1 stays >= 0; the
+    # reciprocity is false under the H = -1 reading.
+    n1 = -n * pow(a, -1, b) % b or b
     big_h = n1 - 1
-
-    alpha = a * b * (a + b - 2) // 2
-    beta3 = 3 * a * b * (a - 1) * (b - 1) // 2 + a * b * ((a - 1) * (a - 2) + (b - 1) * (b - 2))
-    if beta3 % 3:
-        raise InternalInvariantError("beta is not integral")
-    beta = beta3 // 3
-    ab = a * b
-    gamma = _Q(2 * alpha * alpha - ab * beta, 2 * ab**3)
-
-    eta1 = (
-        (h + big_h + 1)
-        + n * gamma
-        + _Q(n * (n + 3) * (a + b - 2), 4 * ab)
-        + _Q(n * (n * n + 6 * n + 11), 6 * ab)
-        + _Q((h + 1) * (a - 1) * (a - 5), 12 * a)
-        + _Q((big_h + 1) * (b - 1) * (b - 5), 12 * b)
-        - _Q(b * h * (h + 1) * (a + 2), 4 * a)
-        - _Q(a * big_h * (big_h + 1) * (b + 2), 4 * b)
+    eta2_12ab = (
+        3 * a * a * (b + 2) * big_h * (big_h + 1)
+        + 3 * b * b * (a + 2) * h * (h + 1)
+        - a * big_h * (b + 1) * (b + 5)
+        - b * h * (a + 1) * (a + 5)
+        - b * (a - 1) * (a - 5)
+        - n0 * (a * a - 3 * a * b - 6 * a + b * b + 6 * b + 5)
+        + 3 * (a - b - 2) * n0 * n0
+        - 2 * n0 * n0 * n0
     )
-    eta2 = (
-        _Q((n + 1) * (n + 2), 2)
-        + _Q((a - 1) * (b - 1) * (2 * ab - a - b - 6 * n - 7), 12)
-        - eta1
-    )
-    return n0, n, n1, big_h, alpha, beta, gamma, eta1, eta2
+    eta2_2ab, rem = divmod(eta2_12ab, 6)
+    if rem:
+        raise InternalInvariantError(f"eta2 is not in Z/(2ab) for ({a}, {b}, {h})")
+    return n0, n, n1, big_h, eta2_2ab
 
 
 def reciprocity_terms(a: int, b: int, h: int) -> ReciprocityTerms:
@@ -89,15 +91,25 @@ def reciprocity_terms(a: int, b: int, h: int) -> ReciprocityTerms:
 
     Requires a >= 2, b >= 1, gcd(a, b) = 1, h >= 0.
     """
+    require_ints(a, b, h)
     if a < 2 or b < 1 or h < 0:
         raise InvalidArgumentError(f"need a >= 2, b >= 1, h >= 0, got ({a}, {b}, {h})")
     if math.gcd(a, b) != 1:
         raise InvalidArgumentError(f"a and b must be coprime, got ({a}, {b})")
-    n0, n, n1, big_h, alpha, beta, gamma, eta1, eta2 = _terms(a, b, h)
-    return ReciprocityTerms(
-        n0, n, n1, big_h, alpha, beta,
-        to_rational(gamma), to_rational(eta1), to_rational(eta2),
+    n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
+    ab = a * b
+    alpha = ab * (a + b - 2) // 2
+    beta3 = 3 * ab * (a - 1) * (b - 1) // 2 + ab * ((a - 1) * (a - 2) + (b - 1) * (b - 2))
+    if beta3 % 3:
+        raise InternalInvariantError("beta is not integral")
+    gamma = Fraction(a * a + 3 * ab - 3 * a + b * b - 3 * b + 1, 12 * ab)
+    eta2 = Fraction(eta2_2ab, 2 * ab)
+    eta1 = (
+        Fraction((n + 1) * (n + 2), 2)
+        + Fraction((a - 1) * (b - 1) * (2 * ab - a - b - 6 * n - 7), 12)
+        - eta2
     )
+    return ReciprocityTerms(n0, n, n1, big_h, alpha, beta3 // 3, gamma, eta1, eta2)
 
 
 def _s_chain(a, b, h, trace):
@@ -130,13 +142,14 @@ def _s_chain(a, b, h, trace):
                 trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, to_rational(sign * c))
             b = r
             continue
-        n0, n, n1, big_h, _alpha, _beta, _gamma, _eta1, eta2 = _terms(a, b, h)
-        total += sign * eta2
+        n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
+        c = _Q(sign * eta2_2ab, 2 * a * b)
+        total += c
         if trace is not None:
             trace.record(
                 RULE_RECIPROCITY, a, b, h,
                 {"n0": n0, "n": n, "n1": n1, "H": big_h},
-                to_rational(sign * eta2),
+                to_rational(c),
             )
         a, b, h = b, a, big_h
         sign = -sign

@@ -101,6 +101,17 @@ class TestVerify:
         assert run(capsys, "verify", "--a", "7")[0] == 2
         assert run(capsys, "verify")[0] == 2
 
+    def test_zero_divisor_in_h_grid_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--max", "5", "--h-grid", "a//0")
+        assert code == 2
+        assert "divides by zero" in err
+
+    def test_max_below_2_exits_2(self, capsys):
+        for bound in ("-5", "0", "1"):
+            code, out, _ = run(capsys, "verify", "--max", bound)
+            assert code == 2
+            assert "verified" not in out
+
 
 class TestFrobenius:
     def test_summary(self, capsys):

@@ -81,6 +81,13 @@ class TestT3:
         assert t3(1, 4, 6) == 16 * sum_squares(6)
         assert t3_alt(7, 3, 0) == 0
 
+    def test_rejects_non_int(self):
+        for fn in (t2, t3, t3_alt):
+            with pytest.raises(InvalidArgumentError):
+                fn(5, 3, 2.5)
+            with pytest.raises(InvalidArgumentError):
+                fn(True, 1, 2)
+
     def test_t3_alt_precondition(self):
         with pytest.raises(InvalidArgumentError):
             t3_alt(3, 7, 2)

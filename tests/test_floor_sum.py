@@ -20,6 +20,11 @@ class TestInstance:
         with pytest.raises(InvalidArgumentError):
             Instance(1, 1, -1)
 
+    @pytest.mark.parametrize("args", [(True, 1, 2), (5, False, 2), (5, 3, 2.5), (5.0, 3, 2), (5, 3, "4")])
+    def test_rejects_non_int(self, args):
+        with pytest.raises(InvalidArgumentError):
+            Instance(*args)
+
     def test_canonical(self):
         inst, normalized = Instance(4, 6, 3).canonical()
         assert inst == Instance(2, 3, 3) and normalized

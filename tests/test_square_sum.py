@@ -65,6 +65,11 @@ class TestReciprocityTerms:
         with pytest.raises(InvalidArgumentError):
             reciprocity_terms(6, 3, 1)
 
+    @pytest.mark.parametrize("args", [(True, 1, 0), (5, 3, 2.5), (5, 3, None)])
+    def test_rejects_non_int(self, args):
+        with pytest.raises(InvalidArgumentError):
+            reciprocity_terms(*args)
+
     def test_gamma_symmetric(self):
         for a, b in [(8411, 2732), (7, 3), (26, 11)]:
             assert reciprocity_terms(a, b, 0).gamma == reciprocity_terms(b, a, 0).gamma
@@ -173,6 +178,13 @@ class TestT1:
         # h far beyond a exercises the entry reduction.
         assert t1(7, 5, 1000) == oracle_t1(7, 5, 1000)
         assert s_value(7, 5, 1000) == oracle_s(7, 5, 1000)
+
+
+    @pytest.mark.parametrize("args", [(5, 3, 2.5), (5, 3, True), (5.0, 3, 2), (5, 3.0, 2)])
+    def test_rejects_non_int(self, args):
+        for fn in (s_value, t1, remainder_square_sum):
+            with pytest.raises(InvalidArgumentError):
+                fn(*args)
 
 
 class TestRemainderSquareSum:
