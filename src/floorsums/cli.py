@@ -20,7 +20,7 @@ from .errors import InvalidArgumentError
 from .floor_sum import floor_sum, remainder_sum
 from .models import Instance
 from .numeric import sum_squares
-from .oracle import oracle_report
+from .oracle import ORACLE_MAX_H, oracle_report
 from .square_sum import s_value, t1
 from .trace import Trace
 
@@ -209,6 +209,14 @@ def cmd_verify(args) -> int:
         raise InvalidArgumentError(f"--max must be >= 2, got {args.max}")
 
     grid = DEFAULT_H_GRID if args.h_grid is None else tuple(args.h_grid.split(","))
+    # Every h is checked before any instance is verified: the oracle loops h times.
+    if single:
+        bounds = [args.h]
+    else:
+        bounds = (_eval_h_token(token, a) for a in range(2, args.max + 1) for token in grid)
+    for h in bounds:
+        if h > ORACLE_MAX_H:
+            raise InvalidArgumentError(f"h={h} is above the oracle's limit of {ORACLE_MAX_H}")
     checked = 0
     failed = 0
     if single:

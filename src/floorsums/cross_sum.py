@@ -14,42 +14,33 @@ O((log max(a,b))^2).  T3 follows from T1 and T2, with an independent
 second route (t3_alt) used for cross-validation.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidArgumentError
-from .floor_sum import floor_sum, remainder_sum
+from .floor_sum import _full_period, floor_sum, remainder_sum
 from .models import Instance, SumReport
-from .numeric import _Q, sum_squares, to_rational
-from .square_sum import _canonical, _s_value_q, s_value, t1
+from .numeric import sum_squares
+from .square_sum import _canonical, s_value, t1
 from .trace import RULE_BASE, RULE_DIVISION, RULE_PERIOD, RULE_RECIPROCITY, Trace
 
 
-def _t1_q(a, b, h, trace):
-    # T1 in the fast rational type; coprime (a, b) expected.
-    s = _s_value_q(a, b, h, trace)
-    q = floor_sum(Instance(a, b, h), trace)
-    return (2 * s - (a + 2) * q) / a
-
-
-def t2_reciprocity_rhs(a: int, b: int, h: int) -> Fraction:
+def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
     """Right-hand side of the T2 reciprocity for coprime a > b >= 1, h < a."""
     hp = b * h // a
-    qv = floor_sum(Instance(b, a, hp))
-    t1v = _t1_q(a, b, h, None)
-    rhs = (
-        _Q(a * h * hp * hp, 2 * b)
-        + _Q(a, 2 * b) * qv
-        - _Q(a, 2 * b) * t1v
-        + _Q(b * h * (h + 1) * (2 * h + 1), 12 * a)
+    qv = floor_sum(Instance(b, a, hp), trace)
+    t1v = t1(a, b, h, trace)
+    return (
+        Fraction(a * h * hp * hp, 2 * b)
+        + Fraction(a, 2 * b) * qv
+        - Fraction(a, 2 * b) * t1v
+        + Fraction(b * h * (h + 1) * (2 * h + 1), 12 * a)
     )
-    return to_rational(rhs)
 
 
 def _t2_chain(a, b, h, trace):
     # Requires gcd(a,b) = 1 and h < a unless a == 1 or b == 0 or h == 0.
-    total = _Q(0)
-    coef = _Q(1)
+    total = Fraction(0)
+    coef = Fraction(1)
     while True:
         if h == 0 or b == 0:
             if trace is not None:
@@ -59,7 +50,7 @@ def _t2_chain(a, b, h, trace):
             c = coef * (b * sum_squares(h))
             total += c
             if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, to_rational(c))
+                trace.record(RULE_BASE, a, b, h, {}, c)
             return total
         if b == 1 and h < a:
             # floor(i/a) = 0 for every i <= h.
@@ -71,32 +62,25 @@ def _t2_chain(a, b, h, trace):
             c = coef * (q * sum_squares(h))
             total += c
             if trace is not None:
-                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, to_rational(c))
+                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c)
             b = r
             continue
         hp = b * h // a
         sub = None if trace is None else Trace()
-        qv = floor_sum(Instance(b, a, hp), sub)
-        t1v = _t1_q(a, b, h, sub)
-        rhs = (
-            _Q(a * h * hp * hp, 2 * b)
-            + _Q(a, 2 * b) * qv
-            - _Q(a, 2 * b) * t1v
-            + _Q(b * h * (h + 1) * (2 * h + 1), 12 * a)
-        )
-        c = coef * rhs
+        c = coef * t2_reciprocity_rhs(a, b, h, sub)
         total += c
         if trace is not None:
             trace.record(
                 RULE_RECIPROCITY, a, b, h,
                 {"h_prime": hp, "sub_steps": len(sub.steps)},
-                to_rational(c),
+                c,
             )
-        coef *= _Q(-a, b)
+        coef *= Fraction(-a, b)
         a, b, h = b, a, hp
 
 
-def _t2_q(a, b, h, trace):
+def t2(a: int, b: int, h: int, trace=None) -> int:
+    """Exact T2(a,b;h) = sum_{i=1..h} i*floor(ib/a) (canonical (a,b))."""
     a, b, h = _canonical(a, b, h)
     if h >= a and a >= 2 and b >= 1:
         # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
@@ -104,13 +88,12 @@ def _t2_q(a, b, h, trace):
         # the tail h mod a (and one h = a-1 chain) recurse.
         q_blocks, m = divmod(h, a)
         t2_a = _t2_chain(a, b, a - 1, None) + a * b
-        fa = (a - 1) * (b - 1) // 2 + b
         fm = floor_sum(Instance(a, b, m))
         sj = q_blocks * (q_blocks - 1) // 2
         sj2 = sum_squares(q_blocks - 1)
         head = (
             a * a * b * sj2
-            + a * fa * sj
+            + a * _full_period(a, b) * sj
             + b * (a * (a + 1) // 2) * sj
             + q_blocks * t2_a
             + q_blocks * q_blocks * a * b * m
@@ -118,14 +101,10 @@ def _t2_q(a, b, h, trace):
             + q_blocks * b * (m * (m + 1) // 2)
         )
         if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, to_rational(head))
-        return head + _t2_chain(a, b, m, trace)
-    return _t2_chain(a, b, h, trace)
-
-
-def t2(a: int, b: int, h: int, trace=None) -> int:
-    """Exact T2(a,b;h) = sum_{i=1..h} i*floor(ib/a) (canonical (a,b))."""
-    value = to_rational(_t2_q(a, b, h, trace))
+            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
+        value = head + _t2_chain(a, b, m, trace)
+    else:
+        value = _t2_chain(a, b, h, trace)
     if value.denominator != 1:
         raise InternalInvariantError(f"T2 came out fractional for ({a}, {b}, {h}): {value}")
     return int(value)
@@ -135,11 +114,10 @@ def t3(a: int, b: int, h: int) -> int:
     """Exact T3(a,b;h) = sum_{i=1..h} floor(ib/a)^2, via T1 and T2."""
     a, b, h = _canonical(a, b, h)
     value = (
-        _t1_q(a, b, h, None)
-        + _Q(2 * b, a) * _t2_q(a, b, h, None)
-        - _Q(b * b * h * (h + 1) * (2 * h + 1), 6 * a * a)
+        t1(a, b, h)
+        + Fraction(2 * b, a) * t2(a, b, h)
+        - Fraction(b * b * h * (h + 1) * (2 * h + 1), 6 * a * a)
     )
-    value = to_rational(value)
     if value.denominator != 1:
         raise InternalInvariantError(f"T3 came out fractional for ({a}, {b}, {h}): {value}")
     return int(value)
@@ -165,11 +143,10 @@ def t3_alt(a: int, b: int, h: int) -> int:
         return _t3_direct(a, b, h)
     q_blocks, m = divmod(h, a)
     t3_a = _t3_direct(a, b, a - 1) + b * b
-    fa = (a - 1) * (b - 1) // 2 + b
     fm = floor_sum(Instance(a, b, m))
     full = (
         a * b * b * sum_squares(q_blocks - 1)
-        + 2 * b * fa * (q_blocks * (q_blocks - 1) // 2)
+        + 2 * b * _full_period(a, b) * (q_blocks * (q_blocks - 1) // 2)
         + q_blocks * t3_a
     )
     tail = m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm + _t3_direct(a, b, m)

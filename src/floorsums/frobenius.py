@@ -10,9 +10,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidArgumentError, OutOfDomainError
+from .numeric import require_ints
 
 
 def _check_coprime(a: int, b: int):
+    require_ints(a, b)
     if a < 1 or b < 1:
         raise InvalidArgumentError(f"need a, b >= 1, got ({a}, {b})")
     if math.gcd(a, b) != 1:
@@ -68,6 +70,7 @@ def four_var_count(a: int, b: int, n: int) -> int:
     exact correction term is added.
     """
     _check_coprime(a, b)
+    require_ints(n)
     if not 0 <= n < a * b:
         raise OutOfDomainError(f"need 0 <= n < a*b, got n={n}, a*b={a * b}")
     num = 6 * (n + 1) * (n + 2) + (a - 1) * (b - 1) * (2 * a * b - a - b - 6 * n - 7)

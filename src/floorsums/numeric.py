@@ -13,26 +13,16 @@ from .errors import InvalidArgumentError, NotInvertibleError
 # Public alias: every exact fractional value in this package is one of these.
 Rational = Fraction
 
-try:
-    # Internal fast rational type for the recursion-heavy code paths.
-    # Semantically identical to Fraction (exact, auto-normalized).
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+# The single rational type every computation uses.  perfbench reads
+# ``_Q.__module__`` to stamp the rational backend into its results.
+_Q = Fraction
 
 
-def to_rational(x) -> Fraction:
-    """Convert an internal rational (mpq or Fraction) to the public type."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
-def require_ints(a, b, h) -> None:
-    """Raise InvalidArgumentError unless a, b and h are all ints (a bool is not)."""
-    for x in (a, b, h):
+def require_ints(*values) -> None:
+    """Raise InvalidArgumentError unless every value is an int (a bool is not)."""
+    for x in values:
         if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidArgumentError(f"a, b and h must be ints, got ({a!r}, {b!r}, {h!r})")
+            raise InvalidArgumentError(f"arguments must be ints, got {values!r}")
 
 
 def ext_gcd(x: int, y: int) -> tuple[int, int, int]:

@@ -4,12 +4,16 @@ These loop over i = 1..h (or sieve up to a*b) with plain integer arithmetic
 and deliberately share no logic with the reciprocity-based fast paths: they
 are the ground truth the fast paths are tested against, and the source of
 every frozen expected value in the test suite.  Intended for desk-scale
-inputs (h or a*b up to ~1e7).
+inputs (h or a*b up to ORACLE_MAX_H).
 """
 
 from fractions import Fraction
 
 from .models import Instance, SumReport
+
+# Largest h (or a*b for the sieves) the enumerating oracles are meant for:
+# oracle_report loops h times, which takes several seconds at this size.
+ORACLE_MAX_H = 10**7
 
 
 def oracle_report(inst: Instance) -> SumReport:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import floor_sum
 from .models import Instance
-from .numeric import _Q, require_ints, sum_first, to_rational
+from .numeric import require_ints, sum_first
 from .trace import RULE_BASE, RULE_DIVISION, RULE_PERIOD, RULE_RECIPROCITY
 
 
@@ -114,7 +114,7 @@ def reciprocity_terms(a: int, b: int, h: int) -> ReciprocityTerms:
 
 def _s_chain(a, b, h, trace):
     # Requires gcd(a,b) = 1 and h < a unless a == 1 or b == 0 or h == 0.
-    total = _Q(0)
+    total = Fraction(0)
     sign = 1
     while True:
         if h == 0 or b == 0:
@@ -122,41 +122,41 @@ def _s_chain(a, b, h, trace):
                 trace.record(RULE_BASE, a, b, h, {}, 0)
             return total
         if a == 1:
-            c = _Q(3 * b * sum_first(h), 2)
+            c = Fraction(3 * b * sum_first(h), 2)
             total += sign * c
             if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, to_rational(sign * c))
+                trace.record(RULE_BASE, a, b, h, {}, sign * c)
             return total
         if b == 1 and h < a:
             # All floors vanish: S = T1*a/2 = sum (i/a)^2 * a/2.
-            c = _Q(h * (h + 1) * (2 * h + 1), 12 * a)
+            c = Fraction(h * (h + 1) * (2 * h + 1), 12 * a)
             total += sign * c
             if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, to_rational(sign * c))
+                trace.record(RULE_BASE, a, b, h, {}, sign * c)
             return total
         if b >= a:
             q, r = divmod(b, a)
-            c = _Q(q * h * (h + 1) * (a + 2), 4)
+            c = Fraction(q * h * (h + 1) * (a + 2), 4)
             total += sign * c
             if trace is not None:
-                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, to_rational(sign * c))
+                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, sign * c)
             b = r
             continue
         n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
-        c = _Q(sign * eta2_2ab, 2 * a * b)
+        c = Fraction(sign * eta2_2ab, 2 * a * b)
         total += c
         if trace is not None:
             trace.record(
                 RULE_RECIPROCITY, a, b, h,
                 {"n0": n0, "n": n, "n1": n1, "H": big_h},
-                to_rational(c),
+                c,
             )
         a, b, h = b, a, big_h
         sign = -sign
 
 
-def _s_value_q(a, b, h, trace):
-    # Full S computation returning the fast rational type.
+def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
+    """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a)."""
     a, b, h = _canonical(a, b, h)
     if h >= a and a >= 2 and b >= 1:
         # T1 is periodic in h with period a (full-period value
@@ -164,24 +164,19 @@ def _s_value_q(a, b, h, trace):
         # only the tail h mod a enters the reciprocity chain.
         q_blocks, m = divmod(h, a)
         delta_q = floor_sum(Instance(a, b, h)) - floor_sum(Instance(a, b, m))
-        head = _Q(q_blocks * (a - 1) * (2 * a - 1), 12) + _Q(a + 2, 2) * delta_q
+        head = Fraction(q_blocks * (a - 1) * (2 * a - 1), 12) + Fraction(a + 2, 2) * delta_q
         if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, to_rational(head))
+            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
         return head + _s_chain(a, b, m, trace)
     return _s_chain(a, b, h, trace)
-
-
-def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
-    """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a)."""
-    return to_rational(_s_value_q(a, b, h, trace))
 
 
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S."""
     a, b, h = _canonical(a, b, h)
-    s = _s_value_q(a, b, h, trace)
+    s = s_value(a, b, h, trace)
     q = floor_sum(Instance(a, b, h), trace)
-    return to_rational((2 * s - (a + 2) * q) / a)
+    return (2 * s - (a + 2) * q) / a
 
 
 def remainder_square_sum(a: int, b: int, h: int) -> int:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from floorsums import cli
 from floorsums.cli import main
 
 
@@ -111,6 +112,23 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--max", bound)
             assert code == 2
             assert "verified" not in out
+
+    def test_h_above_oracle_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--a", "3", "--b", "2", "--h", "1000000000000")
+        assert code == 2
+        assert "oracle" in err
+        assert "verified" not in out
+        code, out, err = run(capsys, "verify", "--max", "5", "--h-grid", "0,a*100000000000")
+        assert code == 2
+        assert "oracle" in err
+        assert out == ""
+
+    def test_oracle_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_MAX_H", 20)
+        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "20")[0] == 0
+        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "21")[0] == 2
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*5")[0] == 0
+        assert run(capsys, "verify", "--max", "5", "--h-grid", "a*5")[0] == 2
 
 
 class TestFrobenius:

@@ -13,6 +13,7 @@ from floorsums import (
     reciprocity_terms,
     s_value,
 )
+from floorsums.frobenius import summary
 
 
 class TestClosedForms:
@@ -29,6 +30,15 @@ class TestClosedForms:
             nonrep_count(4, 6)
         with pytest.raises(InvalidArgumentError):
             nonrep_sum(4, 6)
+
+    def test_non_int_rejected(self):
+        for a, b in ((True, 3), (2, False), (2.0, 3), (2, "3")):
+            with pytest.raises(InvalidArgumentError):
+                nonrep_count(a, b)
+            with pytest.raises(InvalidArgumentError):
+                nonrep_sum(a, b)
+            with pytest.raises(InvalidArgumentError):
+                summary(a, b)
 
     def test_against_sieve(self):
         for a in range(2, 51):
@@ -51,6 +61,11 @@ class TestFourVarCount:
             four_var_count(2, 3, 6)
         with pytest.raises(OutOfDomainError):
             four_var_count(2, 3, -1)
+
+    def test_non_int_rejected(self):
+        for args in ((True, 3, 1), (2, 3, 2.5), (2, 3, True), (2.0, 3, 1)):
+            with pytest.raises(InvalidArgumentError):
+                four_var_count(*args)
 
     def test_against_brute_force(self):
         for a in range(2, 13):
