@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from . import frobenius as frob
+from . import oracle
 from .cross_sum import full_report, t2
 from .errors import InvalidArgumentError
 from .floor_sum import floor_sum, remainder_sum
@@ -209,29 +210,35 @@ def cmd_verify(args) -> int:
         raise InvalidArgumentError(f"--max must be >= 2, got {args.max}")
 
     grid = DEFAULT_H_GRID if args.h_grid is None else tuple(args.h_grid.split(","))
-    # Every h is checked before any instance is verified: the oracle loops h times.
-    if single:
-        bounds = [args.h]
-    else:
-        bounds = (_eval_h_token(token, a) for a in range(2, args.max + 1) for token in grid)
-    for h in bounds:
-        if h > ORACLE_MAX_H:
-            raise InvalidArgumentError(f"h={h} is above the oracle's limit of {ORACLE_MAX_H}")
+
+    def instances():
+        # (a, b, hs, work) for the single instance or each coprime pair of the
+        # sweep.  The oracle loops h times, so work = sum of h, at least 1 per h.
+        for a in [args.a] if single else range(2, args.max + 1):
+            hs = [args.h] if single else [_eval_h_token(token, a) for token in grid]
+            for h in hs:
+                if h > ORACLE_MAX_H:
+                    raise InvalidArgumentError(f"h={h} is above the oracle's limit of {ORACLE_MAX_H}")
+            work = sum(max(h, 1) for h in hs)
+            for b in [args.b] if single else range(2, args.max + 1):
+                if single or math.gcd(a, b) == 1:
+                    yield a, b, hs, work
+
+    # Every h and the total work are checked before any instance is verified.
+    total = 0
+    for *_, work in instances():
+        total += work
+        if total > oracle.ORACLE_MAX_H:
+            raise InvalidArgumentError(
+                f"the oracle's total work (the sum of h) passes its limit of {oracle.ORACLE_MAX_H}"
+            )
     checked = 0
     failed = 0
-    if single:
-        checked = 1
-        failed = 0 if _verify_one(args.a, args.b, args.h) else 1
-    else:
-        for a in range(2, args.max + 1):
-            for b in range(2, args.max + 1):
-                if math.gcd(a, b) != 1:
-                    continue
-                for token in grid:
-                    h = _eval_h_token(token, a)
-                    checked += 1
-                    if not _verify_one(a, b, h):
-                        failed += 1
+    for a, b, hs, _ in instances():
+        for h in hs:
+            checked += 1
+            if not _verify_one(a, b, h):
+                failed += 1
     print(f"verified {checked} instance(s), {failed} mismatch(es)")
     return 0 if failed == 0 else 1
 
@@ -293,7 +300,7 @@ def cmd_bench(args) -> int:
             t2_nanos = time.perf_counter_ns() - start
             rows.append((bits, rep, args.seed, "t2", tr2.total_steps(), t2_nanos))
 
-            if h <= 10**6:
+            if h <= ORACLE_MAX_H:
                 start = time.perf_counter_ns()
                 ref = oracle_report(Instance(a, b, h))
                 oracle_nanos = time.perf_counter_ns() - start

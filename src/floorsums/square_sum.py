@@ -26,6 +26,15 @@ polynomials:
 S(a,b;h) lies in Z/(2a) and S(b,a;H) in Z/(2b), so eta2 lies in Z/(2ab):
 the right-hand side above is always divisible by 6, and each reciprocity
 step adds the single rational (2ab*eta2) / (2ab).
+
+The paper's n1 = -n*a^(-1) mod b needs no modular inverse.  The division
+that gives n0 also gives its quotient q: -b(h+1) = a*q + n0.  Since
+n = ab - a + n0, -n = a - n0 (mod b), and n0 = -a*q (mod b), so
+
+    -n*a^(-1) = 1 - n0*a^(-1) = 1 + q   (mod b).
+
+So one divmod gives n0 and n1, and a step costs one integer polynomial
+plus that division.
 """
 
 import math
@@ -64,11 +73,12 @@ def _canonical(a, b, h):
 
 def _terms(a, b, h):
     # Returns n0, n, n1, H and the integer 2ab*eta2 for coprime a >= 2, b >= 1.
-    n0 = -b * (h + 1) % a
+    q, n0 = divmod(-b * (h + 1), a)
     n = a * b - a + n0
-    # Remainder 0 is promoted to b so that H = n1 - 1 stays >= 0; the
-    # reciprocity is false under the H = -1 reading.
-    n1 = -n * pow(a, -1, b) % b or b
+    # n1 = -n/a mod b = 1 + q mod b (see the module docstring).  Remainder 0
+    # is promoted to b so that H = n1 - 1 stays >= 0; the reciprocity is
+    # false under the H = -1 reading.
+    n1 = (1 + q) % b or b
     big_h = n1 - 1
     eta2_12ab = (
         3 * a * a * (b + 2) * big_h * (big_h + 1)

@@ -1,7 +1,8 @@
 import json
+import time
 from fractions import Fraction
 
-from floorsums import cli
+from floorsums import cli, oracle
 from floorsums.cli import main
 
 
@@ -131,6 +132,31 @@ class TestVerify:
         assert run(capsys, "verify", "--max", "5", "--h-grid", "a*5")[0] == 2
 
 
+    def test_huge_max_exits_2_before_verifying(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max", "1000000000")
+        assert time.perf_counter() - start < 15
+        assert code == 2
+        assert "total work" in err
+        assert out == ""
+
+    def test_total_oracle_work_limit_is_inclusive(self, capsys, monkeypatch):
+        # --max 4 checks (2,3), (3,2), (3,4), (4,3): h = a sums to 2+3+3+4 = 12,
+        # and h = 0 still costs 1 per instance.
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 12)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a")[0] == 0
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a,0")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 11)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 4)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "0")[0] == 0
+        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "4")[0] == 0
+        code, out, err = run(capsys, "verify", "--a", "7", "--b", "3", "--h", "5")
+        assert code == 2
+        assert "total work" in err
+        assert out == ""
+
+
 class TestFrobenius:
     def test_summary(self, capsys):
         code, out, _ = run(capsys, "frobenius", "--a", "3", "--b", "5")
@@ -175,6 +201,19 @@ class TestBench:
         assert code == 0
         rows = json.loads(out)
         assert all(isinstance(row["steps"], str) for row in rows)
+
+    def test_oracle_rows_follow_the_oracle_limit(self, capsys, monkeypatch):
+        def oracle_hs():
+            out = run(capsys, "bench", "--bits", "16", "--reps", "3", "--seed", "1")[1]
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            return sorted(int(row[4]) for row in rows if row[3] == "oracle")
+
+        hs = oracle_hs()
+        assert len(hs) == 3
+        monkeypatch.setattr(cli, "ORACLE_MAX_H", hs[1])
+        assert oracle_hs() == hs[:2]
+        monkeypatch.setattr(cli, "ORACLE_MAX_H", hs[0] - 1)
+        assert oracle_hs() == []
 
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "bench", "--bits", "nope")[0] == 2
