@@ -8,24 +8,29 @@ a > b,
           - (a/(2b))*T1(a,b;h) + b*h(h+1)(2h+1)/(12a),
 
 and for b >= a the division step T2(a,b;h) = T2(a, b mod a; h)
-+ floor(b/a)*h(h+1)(2h+1)/6.  T1 and the inner floor sum are recomputed at
-every level (no memoization), which is what makes the total work
-O((log max(a,b))^2).  T3 follows from T1 and T2, with an independent
-second route (t3_alt) used for cross-validation.
++ floor(b/a)*h(h+1)(2h+1)/6.  For b = 1 and h < a every floor is 0, and
+for h >= a a block decomposition adds the h // a full periods in closed
+form.  These four rules return their contribution times the coefficient
+the walk carries (-a/b at every swap), and ``trace.walk`` drives them.  T1
+and the inner floor sum are recomputed at every level (no memoization),
+which is what makes the total work O((log max(a,b))^2).  T3 follows from
+T1 and T2, with an independent second route (t3_alt) used for
+cross-validation.
 """
 
+import math
 from fractions import Fraction
 
-from .errors import InternalInvariantError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
 from .models import Instance, SumReport
-from .numeric import sum_squares
+from .numeric import exact_int, require_ints, sum_squares
 from .square_sum import _canonical, s_value, t1
-from .trace import RULE_BASE, RULE_DIVISION, RULE_PERIOD, RULE_RECIPROCITY, Trace
+from .trace import Trace, walk
 
 
-def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
-    """Right-hand side of the T2 reciprocity for coprime a > b >= 1, h < a."""
+def _rhs(a, b, h, trace):
+    # The T2 right-hand side, unchecked: coprime a > b >= 1, 0 <= h < a.
     hp = b * h // a
     qv = floor_sum(Instance(b, a, hp), trace)
     t1v = t1(a, b, h, trace)
@@ -37,77 +42,60 @@ def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
     )
 
 
-def _t2_chain(a, b, h, trace):
-    # Requires gcd(a,b) = 1 and h < a unless a == 1 or b == 0 or h == 0.
-    total = Fraction(0)
-    coef = Fraction(1)
-    while True:
-        if h == 0 or b == 0:
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, 0)
-            return total
-        if a == 1:
-            c = coef * (b * sum_squares(h))
-            total += c
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, c)
-            return total
-        if b == 1 and h < a:
-            # floor(i/a) = 0 for every i <= h.
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, 0)
-            return total
-        if b >= a:
-            q, r = divmod(b, a)
-            c = coef * (q * sum_squares(h))
-            total += c
-            if trace is not None:
-                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c)
-            b = r
-            continue
-        hp = b * h // a
-        sub = None if trace is None else Trace()
-        c = coef * t2_reciprocity_rhs(a, b, h, sub)
-        total += c
-        if trace is not None:
-            trace.record(
-                RULE_RECIPROCITY, a, b, h,
-                {"h_prime": hp, "sub_steps": len(sub.steps)},
-                c,
-            )
-        coef *= Fraction(-a, b)
-        a, b, h = b, a, hp
+def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
+    """Right-hand side of the T2 reciprocity for coprime a > b >= 1, 0 <= h < a."""
+    require_ints(a, b, h)
+    if not (a > b >= 1 and 0 <= h < a):
+        raise InvalidArgumentError(f"need a > b >= 1 and 0 <= h < a, got ({a}, {b}, {h})")
+    if math.gcd(a, b) != 1:
+        raise InvalidArgumentError(f"a and b must be coprime, got ({a}, {b})")
+    return _rhs(a, b, h, trace)
+
+
+def _division(a, q, h, coef):
+    return coef * (q * sum_squares(h))
+
+
+def _unit(a, h, coef):
+    # b = 1, h < a: floor(i/a) = 0 for every i <= h.
+    return 0
+
+
+def _reciprocity(a, b, h, coef, trace):
+    hp = b * h // a
+    sub = None if trace is None else Trace()
+    c = coef * _rhs(a, b, h, sub)
+    derived = None if trace is None else {"h_prime": hp, "sub_steps": len(sub.steps)}
+    return c, coef * Fraction(-a, b), hp, derived
+
+
+def _period(a, b, q_blocks, m):
+    # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
+    # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
+    # the tail h mod a (and one h = a-1 walk) recurse.
+    t2_a = _walk(a, b, a - 1, None) + a * b
+    fm = floor_sum(Instance(a, b, m))
+    sj = q_blocks * (q_blocks - 1) // 2
+    sj2 = sum_squares(q_blocks - 1)
+    return (
+        a * a * b * sj2
+        + a * _full_period(a, b) * sj
+        + b * (a * (a + 1) // 2) * sj
+        + q_blocks * t2_a
+        + q_blocks * q_blocks * a * b * m
+        + q_blocks * a * fm
+        + q_blocks * b * (m * (m + 1) // 2)
+    )
+
+
+def _walk(a, b, h, trace):
+    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit)
 
 
 def t2(a: int, b: int, h: int, trace=None) -> int:
     """Exact T2(a,b;h) = sum_{i=1..h} i*floor(ib/a) (canonical (a,b))."""
     a, b, h = _canonical(a, b, h)
-    if h >= a and a >= 2 and b >= 1:
-        # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
-        # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
-        # the tail h mod a (and one h = a-1 chain) recurse.
-        q_blocks, m = divmod(h, a)
-        t2_a = _t2_chain(a, b, a - 1, None) + a * b
-        fm = floor_sum(Instance(a, b, m))
-        sj = q_blocks * (q_blocks - 1) // 2
-        sj2 = sum_squares(q_blocks - 1)
-        head = (
-            a * a * b * sj2
-            + a * _full_period(a, b) * sj
-            + b * (a * (a + 1) // 2) * sj
-            + q_blocks * t2_a
-            + q_blocks * q_blocks * a * b * m
-            + q_blocks * a * fm
-            + q_blocks * b * (m * (m + 1) // 2)
-        )
-        if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
-        value = head + _t2_chain(a, b, m, trace)
-    else:
-        value = _t2_chain(a, b, h, trace)
-    if value.denominator != 1:
-        raise InternalInvariantError(f"T2 came out fractional for ({a}, {b}, {h}): {value}")
-    return int(value)
+    return exact_int(_walk(a, b, h, trace), "T2", a, b, h)
 
 
 def t3(a: int, b: int, h: int) -> int:
@@ -118,9 +106,7 @@ def t3(a: int, b: int, h: int) -> int:
         + Fraction(2 * b, a) * t2(a, b, h)
         - Fraction(b * b * h * (h + 1) * (2 * h + 1), 6 * a * a)
     )
-    if value.denominator != 1:
-        raise InternalInvariantError(f"T3 came out fractional for ({a}, {b}, {h}): {value}")
-    return int(value)
+    return exact_int(value, "T3", a, b, h)
 
 
 def _t3_direct(a, b, h):
@@ -160,16 +146,14 @@ def full_report(inst: Instance) -> SumReport:
     q_sum = floor_sum(inst)
     s = s_value(a, b, h)
     t1v = t1(a, b, h)
-    r2 = t1v * a * a
-    if r2.denominator != 1:
-        raise InternalInvariantError(f"a^2*T1 is not integral for ({a}, {b}, {h})")
+    r2 = exact_int(t1v * a * a, "a^2*T1", a, b, h)
     t2v = t2(a, b, h)
     t3v = t3(a, b, h)
     return SumReport(
         instance=inst,
         q_sum=q_sum,
         r_sum=remainder_sum(inst),
-        r2_sum=int(r2),
+        r2_sum=r2,
         t1=t1v,
         t2=t2v,
         t3=t3v,

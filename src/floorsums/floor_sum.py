@@ -7,14 +7,15 @@ with K = floor(bh/a),
 
 combined with the division step Q(a, aq+r; h) = q*h(h+1)/2 + Q(a,r;h) and a
 periodicity reduction that brings h below a before the reciprocity is ever
-applied.  The recursion is driven iteratively with a sign-carrying
-accumulator, so adversarial (Fibonacci-like) inputs cannot exhaust the call
-stack and every step can be traced.
+applied.  This module holds only those three rules; ``trace.walk`` drives
+them iteratively with a sign-carrying accumulator (the sign flips at every
+reciprocity), so adversarial (Fibonacci-like) inputs cannot exhaust the
+call stack and every step can be traced.
 """
 
 from .models import Instance
 from .numeric import sum_first
-from .trace import RULE_BASE, RULE_DIVISION, RULE_PERIOD, RULE_RECIPROCITY
+from .trace import walk
 
 
 def _full_period(a: int, b: int) -> int:
@@ -23,56 +24,29 @@ def _full_period(a: int, b: int) -> int:
     return (a - 1) * (b - 1) // 2 + b
 
 
-def _chain(a, b, h, trace):
-    # Requires gcd(a,b) = 1 and (h < a or b == 0 or a == 1).
-    total = 0
-    sign = 1
-    while True:
-        if h == 0 or b == 0:
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, 0)
-            return total
-        if a == 1:
-            c = b * sum_first(h)
-            total += sign * c
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, sign * c)
-            return total
-        if b >= a:
-            q, r = divmod(b, a)
-            c = q * sum_first(h)
-            total += sign * c
-            if trace is not None:
-                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, sign * c)
-            b = r
-            continue
-        # b < a and h < a: reciprocity swap.
-        k = b * h // a
-        c = h * k
-        total += sign * c
-        if trace is not None:
-            trace.record(RULE_RECIPROCITY, a, b, h, {"K": k}, sign * c)
-        a, b, h = b, a, k
-        sign = -sign
+def _period(a, b, q_blocks, m):
+    # i = ja + t: floor((ja+t)b/a) = jb + floor(tb/a), so the Q full periods
+    # and the Q*b added to each of the m tail terms come in closed form.
+    return (
+        a * b * q_blocks * (q_blocks - 1) // 2
+        + q_blocks * _full_period(a, b)
+        + q_blocks * b * m
+    )
+
+
+def _division(a, q, h, sign):
+    return sign * q * sum_first(h)
+
+
+def _reciprocity(a, b, h, sign, trace):
+    k = b * h // a
+    return sign * h * k, -sign, k, None if trace is None else {"K": k}
 
 
 def floor_sum(inst: Instance, trace=None) -> int:
     """Exact sum_{i=1..h} floor(i*b/a) for the (canonicalized) instance."""
     inst, _ = inst.canonical()
-    a, b, h = inst.a, inst.b, inst.h
-    if h >= a and a >= 2 and b >= 1:
-        # i = ja + t: floor((ja+t)b/a) = jb + floor(tb/a), so full periods
-        # contribute in closed form and only the tail recurses.
-        q_blocks, m = divmod(h, a)
-        head = (
-            a * b * q_blocks * (q_blocks - 1) // 2
-            + q_blocks * _full_period(a, b)
-            + q_blocks * b * m
-        )
-        if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
-        return head + _chain(a, b, m, trace)
-    return _chain(a, b, h, trace)
+    return walk(inst.a, inst.b, inst.h, trace, _division, _reciprocity, _period)
 
 
 def remainder_sum(inst: Instance) -> int:

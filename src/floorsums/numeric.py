@@ -8,7 +8,7 @@ package relies on.
 
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, NotInvertibleError
+from .errors import InternalInvariantError, InvalidArgumentError, NotInvertibleError
 
 # Public alias: every exact fractional value in this package is one of these.
 Rational = Fraction
@@ -23,6 +23,18 @@ def require_ints(*values) -> None:
     for x in values:
         if isinstance(x, bool) or not isinstance(x, int):
             raise InvalidArgumentError(f"arguments must be ints, got {values!r}")
+
+
+def exact_int(value, name: str, *where) -> int:
+    """value (an int or a Fraction) as an int.
+
+    For sums the mathematics makes integral (T2, T3, a^2*T1): a fractional
+    value is a bug in this package, so it raises InternalInvariantError,
+    naming the sum and the instance ``where``.
+    """
+    if value.denominator != 1:
+        raise InternalInvariantError(f"{name} is not integral for {where}: {value}")
+    return int(value)
 
 
 def ext_gcd(x: int, y: int) -> tuple[int, int, int]:

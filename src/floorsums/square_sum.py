@@ -11,7 +11,12 @@ the division step
     S(a,b;h) = S(a, b mod a; h) + floor(b/a)*h(h+1)(a+2)/4
 
 shrinks b, so alternating the two walks down a Euclidean remainder chain in
-O(log max(a,b)) steps.  All arithmetic is exact rational.
+O(log max(a,b)) steps.  For h >= a the period rule adds the Q = h // a full
+periods in closed form (T1 has period a, the floor sum's periods come from
+``floor_sum._period``), and b = 1 has the closed form h(h+1)(2h+1)/(12a).
+This module holds only these rules, each returning its contribution times
+the sign the walk carries; ``trace.walk`` drives them and flips the sign at
+every reciprocity.  All arithmetic is exact rational.
 
 With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
 sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
@@ -42,10 +47,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidArgumentError
+from .floor_sum import _period as _floor_period
 from .floor_sum import floor_sum
 from .models import Instance
-from .numeric import require_ints, sum_first
-from .trace import RULE_BASE, RULE_DIVISION, RULE_PERIOD, RULE_RECIPROCITY
+from .numeric import exact_int, require_ints
+from .trace import walk
 
 
 @dataclass(frozen=True)
@@ -122,63 +128,34 @@ def reciprocity_terms(a: int, b: int, h: int) -> ReciprocityTerms:
     return ReciprocityTerms(n0, n, n1, big_h, alpha, beta3 // 3, gamma, eta1, eta2)
 
 
-def _s_chain(a, b, h, trace):
-    # Requires gcd(a,b) = 1 and h < a unless a == 1 or b == 0 or h == 0.
-    total = Fraction(0)
-    sign = 1
-    while True:
-        if h == 0 or b == 0:
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, 0)
-            return total
-        if a == 1:
-            c = Fraction(3 * b * sum_first(h), 2)
-            total += sign * c
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, sign * c)
-            return total
-        if b == 1 and h < a:
-            # All floors vanish: S = T1*a/2 = sum (i/a)^2 * a/2.
-            c = Fraction(h * (h + 1) * (2 * h + 1), 12 * a)
-            total += sign * c
-            if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, sign * c)
-            return total
-        if b >= a:
-            q, r = divmod(b, a)
-            c = Fraction(q * h * (h + 1) * (a + 2), 4)
-            total += sign * c
-            if trace is not None:
-                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, sign * c)
-            b = r
-            continue
-        n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
-        c = Fraction(sign * eta2_2ab, 2 * a * b)
-        total += c
-        if trace is not None:
-            trace.record(
-                RULE_RECIPROCITY, a, b, h,
-                {"n0": n0, "n": n, "n1": n1, "H": big_h},
-                c,
-            )
-        a, b, h = b, a, big_h
-        sign = -sign
+def _division(a, q, h, sign):
+    return Fraction(sign * q * h * (h + 1) * (a + 2), 4)
+
+
+def _unit(a, h, sign):
+    # b = 1, h < a: all floors vanish, so S = T1*a/2 = sum (i/a)^2 * a/2.
+    return Fraction(sign * h * (h + 1) * (2 * h + 1), 12 * a)
+
+
+def _reciprocity(a, b, h, sign, trace):
+    n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
+    derived = None if trace is None else {"n0": n0, "n": n, "n1": n1, "H": big_h}
+    return Fraction(sign * eta2_2ab, 2 * a * b), -sign, big_h, derived
+
+
+def _period(a, b, q_blocks, m):
+    # T1 is periodic in h with period a (full-period value (a-1)(2a-1)/(6a)),
+    # and the floor sum's Q full periods come in closed form.
+    return (
+        Fraction(q_blocks * (a - 1) * (2 * a - 1), 12)
+        + Fraction(a + 2, 2) * _floor_period(a, b, q_blocks, m)
+    )
 
 
 def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a)."""
     a, b, h = _canonical(a, b, h)
-    if h >= a and a >= 2 and b >= 1:
-        # T1 is periodic in h with period a (full-period value
-        # (a-1)(2a-1)/(6a)) and the floor sum reduces in closed form, so
-        # only the tail h mod a enters the reciprocity chain.
-        q_blocks, m = divmod(h, a)
-        delta_q = floor_sum(Instance(a, b, h)) - floor_sum(Instance(a, b, m))
-        head = Fraction(q_blocks * (a - 1) * (2 * a - 1), 12) + Fraction(a + 2, 2) * delta_q
-        if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
-        return head + _s_chain(a, b, m, trace)
-    return _s_chain(a, b, h, trace)
+    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit, Fraction(0))
 
 
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:
@@ -192,7 +169,4 @@ def t1(a: int, b: int, h: int, trace=None) -> Fraction:
 def remainder_square_sum(a: int, b: int, h: int) -> int:
     """Exact sum_{i=1..h} r_i^2 = a^2 * T1(a,b;h) for the canonical (a,b)."""
     a, b, h = _canonical(a, b, h)
-    value = t1(a, b, h) * a * a
-    if value.denominator != 1:
-        raise InternalInvariantError(f"a^2*T1 is not integral for ({a}, {b}, {h}): {value}")
-    return int(value)
+    return exact_int(t1(a, b, h) * a * a, "a^2*T1", a, b, h)

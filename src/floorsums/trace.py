@@ -1,4 +1,5 @@
-"""Machine-readable transcripts of the recursion chains.
+"""Machine-readable transcripts of the recursion chains, and the one walker
+that drives every chain.
 
 Each step records the rule applied, the (a, b, h) state on entry, any derived
 parameters, and the signed contribution the step adds to the final value, so
@@ -50,3 +51,55 @@ def euclid_steps(a: int, b: int) -> int:
         a, b = b, a % b
         n += 1
     return n
+
+
+def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
+    """f(a, b; h) for coprime (a, b), walked down the Euclidean chain of
+    (a, b); every step is recorded in ``trace`` if one is given.
+
+    The rules hold all the arithmetic of f.  The walk carries a coefficient
+    (1 at the start), and every rule returns its contribution already
+    multiplied by it:
+
+    - ``period(a, b, Q, m)``: f(a, b; Qa + m) - f(a, b; m), used once, on
+      entry, when h >= a >= 2 and b >= 1; after it h < a or a == 1;
+    - ``division(a, q, h, coef)``: coef * (f(a, b; h) - f(a, b - qa; h)),
+      q = b // a; with a == 1 and q = b it is the base case;
+    - ``unit(a, h, coef)``: coef * f(a, 1; h) in closed form; without it
+      b == 1 takes the reciprocity step;
+    - ``reciprocity(a, b, h, coef, trace)``: for b < a, with
+      f(a, b; h) = R - c * f(b, a; h'), returns (coef * R, -c * coef, h',
+      derived), derived being the dict to record (None without a trace).
+
+    ``zero`` is the empty sum; it fixes the type of the result.
+    """
+    total = zero
+    if h >= a >= 2 and b >= 1:
+        q_blocks, m = divmod(h, a)
+        head = period(a, b, q_blocks, m)
+        total += head
+        if trace is not None:
+            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
+        h = m
+    coef = 1
+    while h and b:
+        if a == 1 or (b == 1 and unit is not None):
+            c = division(1, b, h, coef) if a == 1 else unit(a, h, coef)
+            if trace is not None:
+                trace.record(RULE_BASE, a, b, h, {}, c)
+            return total + c
+        if b >= a:
+            q, r = divmod(b, a)
+            c = division(a, q, h, coef)
+            if trace is not None:
+                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c)
+            b = r
+        else:
+            c, coef, h_next, derived = reciprocity(a, b, h, coef, trace)
+            if trace is not None:
+                trace.record(RULE_RECIPROCITY, a, b, h, derived, c)
+            a, b, h = b, a, h_next
+        total += c
+    if trace is not None:
+        trace.record(RULE_BASE, a, b, h, {}, 0)
+    return total

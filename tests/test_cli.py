@@ -2,7 +2,7 @@ import json
 import time
 from fractions import Fraction
 
-from floorsums import cli, oracle
+from floorsums import oracle
 from floorsums.cli import main
 
 
@@ -125,11 +125,15 @@ class TestVerify:
         assert out == ""
 
     def test_oracle_limit_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ORACLE_MAX_H", 20)
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 20)
         assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "20")[0] == 0
         assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "21")[0] == 2
+        # --max 4 checks (2,3), (3,2), (3,4), (4,3): h = 5a sums to 60.
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 60)
         assert run(capsys, "verify", "--max", "4", "--h-grid", "a*5")[0] == 0
         assert run(capsys, "verify", "--max", "5", "--h-grid", "a*5")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 59)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*5")[0] == 2
 
 
     def test_huge_max_exits_2_before_verifying(self, capsys):
@@ -210,9 +214,9 @@ class TestBench:
 
         hs = oracle_hs()
         assert len(hs) == 3
-        monkeypatch.setattr(cli, "ORACLE_MAX_H", hs[1])
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", hs[1])
         assert oracle_hs() == hs[:2]
-        monkeypatch.setattr(cli, "ORACLE_MAX_H", hs[0] - 1)
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", hs[0] - 1)
         assert oracle_hs() == []
 
     def test_bad_flags_exit_2(self, capsys):

@@ -63,6 +63,13 @@ class TestT2:
         lhs = t2(a, b, h) + Fraction(a, b) * t2(b, a, hp)
         assert lhs == t2_reciprocity_rhs(a, b, h)
 
+    @pytest.mark.parametrize("args", [(0, 1, 1), (3, 5, 2), (4, 2, 1), (5, 3, 7),
+                                      (True, 1, 0), (5, 3, 2.0)])
+    def test_rhs_rejects_outside_its_domain(self, args):
+        # a = 0, a < b, gcd(a, b) > 1, h >= a, a bool and a float.
+        with pytest.raises(InvalidArgumentError):
+            t2_reciprocity_rhs(*args)
+
     def test_trace_replay(self):
         trace = Trace()
         value = t2(8411, 2732, 1221, trace)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from floorsums import (
+    InternalInvariantError,
     InvalidArgumentError,
     NotInvertibleError,
     ext_gcd,
@@ -13,6 +14,7 @@ from floorsums import (
     sum_first,
     sum_squares,
 )
+from floorsums.numeric import exact_int
 
 
 class TestExtGcd:
@@ -101,6 +103,15 @@ class TestPolynomialSums:
     def test_against_loop(self, h):
         assert sum_first(h) == sum(range(1, h + 1))
         assert sum_squares(h) == sum(i * i for i in range(1, h + 1))
+
+
+def test_exact_int():
+    with pytest.raises(InternalInvariantError):
+        exact_int(Fraction(1, 2), "T2", 5, 3, 4)
+    assert type(exact_int(Fraction(6, 3), "T2")) is int
+    assert exact_int(Fraction(6, 3), "T2") == 2
+    assert type(exact_int(-7, "T3")) is int
+    assert exact_int(-7, "T3") == -7
 
 
 def test_exact_at_4096_bits():

@@ -1,0 +1,73 @@
+"""Golden traces: the exact steps of one walk per sum.
+
+Each step is (rule, a, b, h, derived, contribution).  The floor-sum case
+takes the period reduction, the S case alternates division and
+reciprocity down the paper's worked example, and the T2 case ends in the
+b = 1 closed form.
+"""
+
+from fractions import Fraction as F
+
+from floorsums import Instance, Trace, floor_sum, s_value, t2
+
+FLOOR_SUM_7_3_23 = [
+    ("period-reduction", 7, 3, 23, {"Q": 3, "m": 2}, F(108)),
+    ("reciprocity", 7, 3, 2, {"K": 0}, F(0)),
+    ("base", 3, 7, 0, {}, F(0)),
+]
+
+S_8411_2732_1221 = [
+    ("reciprocity", 8411, 2732, 1221, {"n0": 663, "n": 22971104, "n1": 2336, "H": 2335},
+     F(5521952154451967, 441901)),
+    ("division", 2732, 8411, 2335, {"q": 3, "r": 215}, F(-11184575280)),
+    ("reciprocity", 2732, 215, 2335, {"n0": 448, "n": 585096, "n1": 32, "H": 31},
+     F(-43105956866071, 146845)),
+    ("division", 215, 2732, 31, {"q": 12, "r": 152}, F(645792)),
+    ("reciprocity", 215, 152, 31, {"n0": 81, "n": 32546, "n1": 130, "H": 129},
+     F(62027530983, 65360)),
+    ("division", 152, 215, 129, {"q": 1, "r": 63}, F(-645645)),
+    ("reciprocity", 152, 63, 129, {"n0": 18, "n": 9442, "n1": 10, "H": 9},
+     F(-1719655381, 6384)),
+    ("division", 63, 152, 9, {"q": 2, "r": 26}, F(2925)),
+    ("reciprocity", 63, 26, 9, {"n0": 55, "n": 1630, "n1": 22, "H": 21}, F(9093619, 1092)),
+    ("division", 26, 63, 21, {"q": 2, "r": 11}, F(-6468)),
+    ("reciprocity", 26, 11, 21, {"n0": 18, "n": 278, "n1": 2, "H": 1}, F(-757997, 572)),
+    ("division", 11, 26, 1, {"q": 2, "r": 4}, F(13)),
+    ("reciprocity", 11, 4, 1, {"n0": 3, "n": 36, "n1": 4, "H": 3}, F(2089, 44)),
+    ("division", 4, 11, 3, {"q": 2, "r": 3}, F(-36)),
+    ("reciprocity", 4, 3, 3, {"n0": 0, "n": 8, "n1": 1, "H": 0}, F(-43, 4)),
+    ("base", 3, 4, 0, {}, F(0)),
+]
+
+T2_13_5_11 = [
+    ("reciprocity", 13, 5, 11, {"h_prime": 4, "sub_steps": 17}, F(1764, 5)),
+    ("division", 5, 13, 4, {"q": 2, "r": 3}, F(-156)),
+    ("reciprocity", 5, 3, 4, {"h_prime": 2, "sub_steps": 13}, F(-962, 15)),
+    ("division", 3, 5, 2, {"q": 1, "r": 2}, F(65, 3)),
+    ("reciprocity", 3, 2, 2, {"h_prime": 1, "sub_steps": 9}, F(91, 6)),
+    ("division", 2, 3, 1, {"q": 1, "r": 1}, F(-13, 2)),
+    ("base", 2, 1, 1, {}, F(0)),
+]
+
+
+def steps(trace):
+    return [(s.rule, s.a, s.b, s.h, s.derived, s.contribution) for s in trace.steps]
+
+
+def test_floor_sum_trace():
+    trace = Trace()
+    assert floor_sum(Instance(7, 3, 23), trace) == 108
+    assert steps(trace) == FLOOR_SUM_7_3_23
+
+
+def test_s_value_trace():
+    trace = Trace()
+    assert s_value(8411, 2732, 1221, trace) == F(658946167630, 647)
+    assert steps(trace) == S_8411_2732_1221
+
+
+def test_t2_trace():
+    trace = Trace()
+    assert t2(13, 5, 11, trace) == 163
+    assert steps(trace) == T2_13_5_11
+    assert trace.total_steps() == len(T2_13_5_11) + 17 + 13 + 9

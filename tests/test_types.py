@@ -12,6 +12,7 @@ import pytest
 from floorsums import (
     Instance,
     Trace,
+    floor_sum,
     full_report,
     s_value,
     t1,
@@ -70,11 +71,19 @@ def test_report_field_types(abh):
         assert type(getattr(report, field)) is kind, field
 
 
+def _floor_sum(a, b, h, trace):
+    return floor_sum(Instance(a, b, h), trace)
+
+
 @pytest.mark.parametrize("abh", BRANCHES.values(), ids=BRANCHES.keys())
 def test_trace_contributions_are_fractions(abh):
-    for route in (s_value, t1, t2):
+    # t1's trace holds the S and floor-sum steps it is derived from, so only
+    # the other routes replay to their own value.
+    for route in (s_value, t1, t2, _floor_sum):
         trace = Trace()
-        route(*abh, trace)
+        value = route(*abh, trace)
         assert trace.steps
         for step in trace.steps:
             assert type(step.contribution) is Fraction, (route.__name__, step)
+        if route is not t1:
+            assert trace.replay() == value, route.__name__
