@@ -5,22 +5,14 @@ from .errors import (
     FloorSumsError,
     InternalInvariantError,
     InvalidArgumentError,
-    NotInvertibleError,
     OutOfDomainError,
 )
 from .cross_sum import full_report, t2, t2_reciprocity_rhs, t3, t3_alt
 from .floor_sum import floor_sum, remainder_sum
-from .frobenius import FrobeniusSummary, four_var_count, nonrep_count, nonrep_sum
+from .frobenius import four_var_count, nonrep_count, nonrep_sum
 from .models import Instance, SumReport
-from .numeric import (
-    Rational,
-    ext_gcd,
-    floor_mod,
-    mod_inverse,
-    sum_first,
-    sum_squares,
-)
-from .oracle import oracle_four_var, oracle_nonrep, oracle_report, oracle_s, oracle_t1
+from .numeric import sum_first, sum_squares
+from .oracle import oracle_four_var, oracle_nonrep, oracle_report
 from .square_sum import (
     ReciprocityTerms,
     reciprocity_terms,
@@ -34,31 +26,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FloorSumsError",
-    "FrobeniusSummary",
     "Instance",
     "InternalInvariantError",
     "InvalidArgumentError",
-    "NotInvertibleError",
     "OutOfDomainError",
-    "Rational",
     "ReciprocityTerms",
     "SumReport",
     "Trace",
     "TraceStep",
     "euclid_steps",
-    "ext_gcd",
-    "floor_mod",
     "floor_sum",
     "four_var_count",
     "full_report",
-    "mod_inverse",
     "nonrep_count",
     "nonrep_sum",
     "oracle_four_var",
     "oracle_nonrep",
     "oracle_report",
-    "oracle_s",
-    "oracle_t1",
     "reciprocity_terms",
     "remainder_square_sum",
     "remainder_sum",

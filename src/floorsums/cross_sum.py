@@ -25,7 +25,7 @@ from .errors import InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
 from .models import Instance, SumReport
 from .numeric import exact_int, require_ints, sum_squares
-from .square_sum import _canonical, s_value, t1
+from .square_sum import _canonical, _r2, s_value, t1
 from .trace import Trace, walk
 
 
@@ -98,15 +98,30 @@ def t2(a: int, b: int, h: int, trace=None) -> int:
     return exact_int(_walk(a, b, h, trace), "T2", a, b, h)
 
 
-def t3(a: int, b: int, h: int) -> int:
-    """Exact T3(a,b;h) = sum_{i=1..h} floor(ib/a)^2, via T1 and T2."""
-    a, b, h = _canonical(a, b, h)
+def _t3(a, b, h, t1_value, t2_value):
+    # Squaring floor(ib/a) = ib/a - {ib/a} and summing.
     value = (
-        t1(a, b, h)
-        + Fraction(2 * b, a) * t2(a, b, h)
+        t1_value
+        + Fraction(2 * b, a) * t2_value
         - Fraction(b * b * h * (h + 1) * (2 * h + 1), 6 * a * a)
     )
     return exact_int(value, "T3", a, b, h)
+
+
+def _ir(a, b, h, t2_value):
+    # i*r_i = i*ib - a*i*q_i.
+    return b * sum_squares(h) - a * t2_value
+
+
+def _qr(a, b, t2_value, t3_value):
+    # q_i*r_i = q_i*ib - a*q_i^2.
+    return b * t2_value - a * t3_value
+
+
+def t3(a: int, b: int, h: int) -> int:
+    """Exact T3(a,b;h) = sum_{i=1..h} floor(ib/a)^2, via T1 and T2."""
+    a, b, h = _canonical(a, b, h)
+    return _t3(a, b, h, t1(a, b, h), t2(a, b, h))
 
 
 def _t3_direct(a, b, h):
@@ -146,7 +161,7 @@ def full_report(inst: Instance) -> SumReport:
     q_sum = floor_sum(inst)
     s = s_value(a, b, h)
     t1v = t1(a, b, h)
-    r2 = exact_int(t1v * a * a, "a^2*T1", a, b, h)
+    r2 = _r2(a, b, h, t1v)
     t2v = t2(a, b, h)
     t3v = t3(a, b, h)
     return SumReport(
@@ -157,7 +172,7 @@ def full_report(inst: Instance) -> SumReport:
         t1=t1v,
         t2=t2v,
         t3=t3v,
-        ir_sum=b * sum_squares(h) - a * t2v,
-        qr_sum=b * t2v - a * t3v,
+        ir_sum=_ir(a, b, h, t2v),
+        qr_sum=_qr(a, b, t2v, t3v),
         s=s,
     )

@@ -6,10 +6,6 @@ class InvalidArgumentError(FloorSumsError, ValueError):
     """An argument violates a precondition (negative bound, zero modulus, ...)."""
 
 
-class NotInvertibleError(InvalidArgumentError):
-    """Requested a modular inverse of a non-unit."""
-
-
 class OutOfDomainError(InvalidArgumentError):
     """Input lies outside the regime where the closed form is valid."""
 

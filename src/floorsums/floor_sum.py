@@ -49,7 +49,12 @@ def floor_sum(inst: Instance, trace=None) -> int:
     return walk(inst.a, inst.b, inst.h, trace, _division, _reciprocity, _period)
 
 
+def _remainder_sum(a, b, h, q):
+    # r_i = ib - a*floor(ib/a), summed with q = Q(a,b;h).
+    return b * sum_first(h) - a * q
+
+
 def remainder_sum(inst: Instance) -> int:
     """Exact sum_{i=1..h} r_i where r_i = i*b mod a (canonical instance)."""
     inst, _ = inst.canonical()
-    return inst.b * sum_first(inst.h) - inst.a * floor_sum(inst)
+    return _remainder_sum(inst.a, inst.b, inst.h, floor_sum(inst))

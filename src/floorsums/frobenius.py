@@ -7,7 +7,6 @@ ax + by + z + u = n in closed form for 0 <= n < ab.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidArgumentError, OutOfDomainError
 from .numeric import require_ints
@@ -77,15 +76,3 @@ def four_var_count(a: int, b: int, n: int) -> int:
     if num % 12:
         raise InternalInvariantError(f"four_var_count not integral for ({a}, {b}, {n})")
     return num // 12 - _tail_correction(a, b, n)
-
-
-@dataclass(frozen=True)
-class FrobeniusSummary:
-    a: int
-    b: int
-    nonrep_count: int
-    nonrep_sum: int
-
-
-def summary(a: int, b: int) -> FrobeniusSummary:
-    return FrobeniusSummary(a, b, nonrep_count(a, b), nonrep_sum(a, b))

@@ -46,15 +46,6 @@ def oracle_report(inst: Instance) -> SumReport:
     )
 
 
-def oracle_s(a: int, b: int, h: int) -> Fraction:
-    """S(a,b;h) assembled directly from the enumerated sums."""
-    return oracle_report(Instance(a, b, h)).s
-
-
-def oracle_t1(a: int, b: int, h: int) -> Fraction:
-    return oracle_report(Instance(a, b, h)).t1
-
-
 def oracle_nonrep(a: int, b: int) -> tuple[int, int]:
     """(count, sum) of numbers < ab not representable as ax + by, by sieve."""
     if a == 1 or b == 1:

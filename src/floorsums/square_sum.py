@@ -70,11 +70,8 @@ class ReciprocityTerms:
 
 
 def _canonical(a, b, h):
-    require_ints(a, b, h)
-    if a < 1 or b < 0 or h < 0:
-        raise InvalidArgumentError(f"need a >= 1, b >= 0, h >= 0, got ({a}, {b}, {h})")
-    g = math.gcd(a, b)
-    return (a, b, h) if g <= 1 else (a // g, b // g, h)
+    inst, _ = Instance(a, b, h).canonical()
+    return inst.a, inst.b, inst.h
 
 
 def _terms(a, b, h):
@@ -152,21 +149,34 @@ def _period(a, b, q_blocks, m):
     )
 
 
+def _walk(a, b, h, trace):
+    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit, Fraction(0))
+
+
 def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a)."""
     a, b, h = _canonical(a, b, h)
-    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit, Fraction(0))
+    return _walk(a, b, h, trace)
+
+
+def _t1(a, q, s):
+    # The definition of S solved for T1, with q = Q(a,b;h) and s = S(a,b;h).
+    return (2 * s - (a + 2) * q) / a
+
+
+def _r2(a, b, h, t1_value):
+    # r_i = a*{ib/a}, so sum r_i^2 = a^2*T1, an integer.
+    return exact_int(t1_value * a * a, "a^2*T1", a, b, h)
 
 
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S."""
     a, b, h = _canonical(a, b, h)
-    s = s_value(a, b, h, trace)
-    q = floor_sum(Instance(a, b, h), trace)
-    return (2 * s - (a + 2) * q) / a
+    s = _walk(a, b, h, trace)
+    return _t1(a, floor_sum(Instance(a, b, h), trace), s)
 
 
 def remainder_square_sum(a: int, b: int, h: int) -> int:
     """Exact sum_{i=1..h} r_i^2 = a^2 * T1(a,b;h) for the canonical (a,b)."""
     a, b, h = _canonical(a, b, h)
-    return exact_int(t1(a, b, h) * a * a, "a^2*T1", a, b, h)
+    return _r2(a, b, h, t1(a, b, h))

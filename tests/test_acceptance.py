@@ -13,11 +13,9 @@ from fractions import Fraction
 from floorsums import (
     Instance,
     Trace,
-    floor_mod,
     floor_sum,
     four_var_count,
     full_report,
-    mod_inverse,
     oracle_four_var,
     oracle_nonrep,
     oracle_report,
@@ -99,9 +97,9 @@ def test_c3_oracle_equivalence_sweep():
 def independent_eta2(a, b, h):
     # Direct transcription of the eta1/eta2 definitions, sharing nothing with
     # the package's reciprocity path beyond modular arithmetic.
-    n0 = floor_mod(-b * (h + 1), a)
+    n0 = -b * (h + 1) % a
     n = a * b - a + n0
-    n1 = floor_mod(-n * mod_inverse(a, b), b) or b
+    n1 = -n * pow(a, -1, b) % b or b
     big_h = n1 - 1
     alpha = Fraction(a * b * (a + b - 2), 2)
     beta = Fraction(a * b * (a - 1) * (b - 1), 2) + Fraction(

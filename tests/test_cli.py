@@ -1,15 +1,23 @@
+import importlib
+import itertools
 import json
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
-from floorsums import oracle
-from floorsums.cli import main
+from floorsums import Instance, cli, cross_sum, full_report, oracle, square_sum
+from floorsums.cli import TARGETS, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every single target, every pair and all nine.
+TARGET_LISTS = [(t,) for t in TARGETS] + list(itertools.combinations(TARGETS, 2)) + [TARGETS]
 
 
 def parse_rational(text):
@@ -83,6 +91,62 @@ class TestCompute:
         assert run(capsys, "compute", "--a", "5", "--b", "3", "--h", "4",
                    "--targets", "bogus")[0] == 2
 
+    def test_every_target_list_matches_full_report(self, capsys):
+        # Non-coprime inputs, b = 0, a = 1, b >= a and h >= a, then seeded
+        # 64-bit instances.
+        cases = [
+            (a, b, h)
+            for a in (1, 2, 6, 7)
+            for b in (0, 1, 4, 9, 14)
+            for h in sorted({0, 1, a // 2, a - 1, a, 3 * a + 2})
+        ]
+        rng = random.Random(64)
+        for _ in range(2):
+            a = rng.getrandbits(64) | (1 << 63)
+            cases.append((a, rng.randrange(3 * a), rng.randrange(3 * a)))
+        parser = cli.build_parser()  # built once: building takes longer than most computes
+        for a, b, h in cases:
+            fields = cli._report_fields(full_report(Instance(a, b, h)))
+            for targets in TARGET_LISTS:
+                args = parser.parse_args(["compute", "--a", str(a), "--b", str(b), "--h", str(h),
+                                          "--targets", ",".join(targets)])
+                assert args.func(args) == 0
+                expected = {target: cli._fmt(fields[target]) for target in targets}
+                assert json.loads(capsys.readouterr().out)["sums"] == expected, (a, b, h, targets)
+
+    def test_each_chain_runs_at_most_once(self, capsys, monkeypatch):
+        # Counts the outermost calls of each chain, through every module name
+        # it can be called by; the chains' own nested calls are not counted.
+        calls = Counter()
+        depth = [0]
+
+        def counting(name, chain):
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    calls[name] += 1
+                depth[0] += 1
+                try:
+                    return chain(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        floor_sum_module = importlib.import_module("floorsums.floor_sum")
+        for module in (cli, cross_sum, square_sum, floor_sum_module):
+            for name in ("floor_sum", "s_value", "t2"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for targets in [None] + TARGET_LISTS:
+            for trace in ((), ("--trace",)):
+                calls.clear()
+                argv = ["compute", "--a", "8411", "--b", "2732", "--h", "1221", *trace]
+                if targets is not None:
+                    argv += ["--targets", ",".join(targets)]
+                assert run(capsys, *argv)[0] == 0
+                assert max(calls.values()) == 1, (targets, calls)
+                if targets is None:
+                    assert calls == {"floor_sum": 1, "s_value": 1, "t2": 1}
+
 
 class TestVerify:
     def test_regression_case(self, capsys):
@@ -125,15 +189,15 @@ class TestVerify:
         assert out == ""
 
     def test_oracle_limit_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 20)
-        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "20")[0] == 0
-        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "21")[0] == 2
-        # --max 4 checks (2,3), (3,2), (3,4), (4,3): h = 5a sums to 60.
-        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 60)
-        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*5")[0] == 0
-        assert run(capsys, "verify", "--max", "5", "--h-grid", "a*5")[0] == 2
-        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 59)
-        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*5")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 120)
+        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "120")[0] == 0
+        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "121")[0] == 2
+        # --max 4 checks (2,3), (3,2), (3,4), (4,3): h = 50a sums to 600.
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 600)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*50")[0] == 0
+        assert run(capsys, "verify", "--max", "5", "--h-grid", "a*50")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 599)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*50")[0] == 2
 
 
     def test_huge_max_exits_2_before_verifying(self, capsys):
@@ -145,20 +209,47 @@ class TestVerify:
         assert out == ""
 
     def test_total_oracle_work_limit_is_inclusive(self, capsys, monkeypatch):
-        # --max 4 checks (2,3), (3,2), (3,4), (4,3): h = a sums to 2+3+3+4 = 12,
-        # and h = 0 still costs 1 per instance.
-        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 12)
-        assert run(capsys, "verify", "--max", "4", "--h-grid", "a")[0] == 0
-        assert run(capsys, "verify", "--max", "4", "--h-grid", "a,0")[0] == 2
-        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 11)
-        assert run(capsys, "verify", "--max", "4", "--h-grid", "a")[0] == 2
-        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 4)
+        # --max 4 checks (2,3), (3,2), (3,4), (4,3): h = 50a sums to
+        # 100+150+150+200 = 600, and every h below 100 costs 100, the price of
+        # its full_report.
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 600)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*50")[0] == 0
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*50,0")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 599)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a*50")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 400)
         assert run(capsys, "verify", "--max", "4", "--h-grid", "0")[0] == 0
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "a")[0] == 0
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 399)
+        assert run(capsys, "verify", "--max", "4", "--h-grid", "0")[0] == 2
+        monkeypatch.setattr(oracle, "ORACLE_MAX_H", 100)
         assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "4")[0] == 0
-        code, out, err = run(capsys, "verify", "--a", "7", "--b", "3", "--h", "5")
+        assert run(capsys, "verify", "--a", "7", "--b", "3", "--h", "100")[0] == 0
+        code, out, err = run(capsys, "verify", "--a", "7", "--b", "3", "--h", "101")
         assert code == 2
         assert "total work" in err
         assert out == ""
+
+    def test_zero_h_sweep_is_charged_for_its_reports(self, capsys):
+        # About 5.5 million coprime pairs at 100 units each; charged 1 unit
+        # per instance, this sweep would pass and run for about ten minutes.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max", "3000", "--h-grid", "0")
+        assert time.perf_counter() - start < 15
+        assert code == 2
+        assert "total work" in err
+        assert out == ""
+
+    def test_largest_accepted_sweeps(self, capsys, monkeypatch):
+        # --max 406 has 99,496 coprime pairs, --max 407 has 100,214: at 100
+        # units each only the first fits the limit of 10^7.
+        monkeypatch.setattr(cli, "_verify_one", lambda a, b, h: True)
+        code, out, _ = run(capsys, "verify", "--max", "406", "--h-grid", "0")
+        assert code == 0
+        assert out == "verified 99496 instance(s), 0 mismatch(es)\n"
+        assert run(capsys, "verify", "--max", "407", "--h-grid", "0")[0] == 2
+        assert run(capsys, "verify", "--max", "155")[0] == 0
+        assert run(capsys, "verify", "--max", "156")[0] == 2
 
 
 class TestFrobenius:

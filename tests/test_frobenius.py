@@ -13,7 +13,6 @@ from floorsums import (
     reciprocity_terms,
     s_value,
 )
-from floorsums.frobenius import summary
 
 
 class TestClosedForms:
@@ -37,8 +36,6 @@ class TestClosedForms:
                 nonrep_count(a, b)
             with pytest.raises(InvalidArgumentError):
                 nonrep_sum(a, b)
-            with pytest.raises(InvalidArgumentError):
-                summary(a, b)
 
     def test_against_sieve(self):
         for a in range(2, 51):

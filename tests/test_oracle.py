@@ -6,7 +6,6 @@ from floorsums import (
     oracle_four_var,
     oracle_nonrep,
     oracle_report,
-    oracle_s,
     sum_first,
     sum_squares,
 )
@@ -38,9 +37,9 @@ def test_worked_example_goldens():
 
 
 def test_oracle_s_values():
-    assert oracle_s(5, 3, 4) == 17
-    assert oracle_s(11, 26, 1) == Fraction(151, 11)
-    assert oracle_s(9, 2, 0) == 0
+    assert oracle_report(Instance(5, 3, 4)).s == 17
+    assert oracle_report(Instance(11, 26, 1)).s == Fraction(151, 11)
+    assert oracle_report(Instance(9, 2, 0)).s == 0
 
 
 def test_nonrep_examples():

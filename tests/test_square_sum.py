@@ -11,8 +11,7 @@ from floorsums import (
     Trace,
     euclid_steps,
     floor_sum,
-    oracle_s,
-    oracle_t1,
+    oracle_report,
     reciprocity_terms,
     remainder_square_sum,
     s_value,
@@ -37,7 +36,7 @@ class TestReciprocityTerms:
         assert terms.eta1 == 19
         assert terms.eta2 == 17
         # eta2 = S(5,3;4) + S(3,5;0), both by the oracle.
-        assert terms.eta2 == oracle_s(5, 3, 4) + oracle_s(3, 5, 0)
+        assert terms.eta2 == oracle_report(Instance(5, 3, 4)).s + oracle_report(Instance(3, 5, 0)).s
 
     def test_zero_remainder_promoted_to_b(self):
         # b divides n here; n1 = 0 must be read as n1 = b, giving H = b-1.
@@ -46,7 +45,7 @@ class TestReciprocityTerms:
         assert terms.n1 == 3
         assert terms.H == 2
         assert terms.eta2 == Fraction(346, 21)
-        assert terms.eta2 == oracle_s(7, 3, 1) + oracle_s(3, 7, 2)
+        assert terms.eta2 == oracle_report(Instance(7, 3, 1)).s + oracle_report(Instance(3, 7, 2)).s
 
     def test_field_invariants(self):
         for a, b, h in [(8411, 2732, 1221), (7, 3, 1), (26, 11, 21), (215, 152, 31)]:
@@ -111,7 +110,7 @@ class TestSValue:
                 if math.gcd(a, b) != 1:
                     continue
                 for h in H_GRID(a):
-                    assert s_value(a, b, h) == oracle_s(a, b, h), (a, b, h)
+                    assert s_value(a, b, h) == oracle_report(Instance(a, b, h)).s, (a, b, h)
 
     @given(st.integers(2, 10**12), st.integers(1, 10**12), st.integers(0, 10**12))
     @settings(max_examples=60, deadline=None)
@@ -172,12 +171,12 @@ class TestT1:
                 if math.gcd(a, b) != 1:
                     continue
                 for h in H_GRID(a):
-                    assert t1(a, b, h) == oracle_t1(a, b, h), (a, b, h)
+                    assert t1(a, b, h) == oracle_report(Instance(a, b, h)).t1, (a, b, h)
 
     def test_large_h_periodicity(self):
         # h far beyond a exercises the entry reduction.
-        assert t1(7, 5, 1000) == oracle_t1(7, 5, 1000)
-        assert s_value(7, 5, 1000) == oracle_s(7, 5, 1000)
+        assert t1(7, 5, 1000) == oracle_report(Instance(7, 5, 1000)).t1
+        assert s_value(7, 5, 1000) == oracle_report(Instance(7, 5, 1000)).s
 
 
     @pytest.mark.parametrize("args", [(5, 3, 2.5), (5, 3, True), (5.0, 3, 2), (5, 3.0, 2)])
