@@ -7,6 +7,7 @@ verification mismatch, 2 invalid input.
 
 import argparse
 import ast
+import functools
 import json
 import math
 import random
@@ -29,13 +30,6 @@ DEFAULT_H_GRID = ("0", "1", "a//2", "a-1", "a", "2*a+3")
 # verify's cost of one full_report, in oracle iterations: one full_report at
 # h = 0 took 48-63 us and one oracle iteration 0.48-0.60 us.
 _REPORT_WORK = 100
-
-
-def _decimal_int(text: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
 
 
 def _fmt(value) -> str:
@@ -315,7 +309,9 @@ def cmd_bench(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; each subcommand is run by cmd_<name>."""
     parser = argparse.ArgumentParser(
         prog="floorsums",
         description="Exact power sums of floors/remainders of i*b/a in log time.",
@@ -323,45 +319,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute the requested sums for one instance")
-    p.add_argument("--a", type=_decimal_int, required=True)
-    p.add_argument("--b", type=_decimal_int, required=True)
-    p.add_argument("--h", type=_decimal_int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--h", type=int, required=True)
     p.add_argument("--targets", help=f"comma-separated subset of {','.join(TARGETS)}")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--trace", action="store_true", help="include the recursion trace")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="compare the fast paths against the brute-force oracle")
-    p.add_argument("--a", type=_decimal_int)
-    p.add_argument("--b", type=_decimal_int)
-    p.add_argument("--h", type=_decimal_int)
+    p.add_argument("--a", type=int)
+    p.add_argument("--b", type=int)
+    p.add_argument("--h", type=int)
     p.add_argument("--max", type=int, help="sweep all coprime pairs 2 <= a,b <= MAX")
     p.add_argument("--h-grid", dest="h_grid",
                    help="comma-separated h expressions in a (default 0,1,a//2,a-1,a,2*a+3)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("frobenius", help="nonrepresentable count/sum and 4-variable solution count")
-    p.add_argument("--a", type=_decimal_int, required=True)
-    p.add_argument("--b", type=_decimal_int, required=True)
-    p.add_argument("--n", type=_decimal_int)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--n", type=int)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_frobenius)
 
     p = sub.add_parser("bench", help="scaling benchmark of the fast paths")
     p.add_argument("--bits", default="32,64,128", help="comma-separated bit sizes")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a replaced cmd_* is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

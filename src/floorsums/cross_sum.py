@@ -12,7 +12,7 @@ and for b >= a the division step T2(a,b;h) = T2(a, b mod a; h)
 for h >= a a block decomposition adds the h // a full periods in closed
 form.  These four rules return their contribution times the coefficient
 the walk carries (-a/b at every swap), and ``trace.walk`` drives them.  T1
-and the inner floor sum are recomputed at every level (no memoization),
+and the inner floor sum are recomputed, unchecked, at every level (no memo),
 which is what makes the total work O((log max(a,b))^2).  T3 follows from
 T1 and T2, with an independent second route (t3_alt) used for
 cross-validation.
@@ -23,17 +23,18 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
+from .floor_sum import _walk as _floor_walk
 from .models import Instance, SumReport
 from .numeric import exact_int, require_ints, sum_squares
-from .square_sum import _canonical, _r2, s_value, t1
+from .square_sum import _canonical, _r2, _walk_t1, s_value, t1
 from .trace import Trace, walk
 
 
 def _rhs(a, b, h, trace):
     # The T2 right-hand side, unchecked: coprime a > b >= 1, 0 <= h < a.
     hp = b * h // a
-    qv = floor_sum(Instance(b, a, hp), trace)
-    t1v = t1(a, b, h, trace)
+    qv = _floor_walk(b, a, hp, trace)
+    t1v = _walk_t1(a, b, h, trace)
     return (
         Fraction(a * h * hp * hp, 2 * b)
         + Fraction(a, 2 * b) * qv
@@ -74,7 +75,7 @@ def _period(a, b, q_blocks, m):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
     # the tail h mod a (and one h = a-1 walk) recurse.
     t2_a = _walk(a, b, a - 1, None) + a * b
-    fm = floor_sum(Instance(a, b, m))
+    fm = _floor_walk(a, b, m)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)
     return (
@@ -128,7 +129,7 @@ def _t3_direct(a, b, h):
     # T3 = h*h'^2 - 2*T2(b,a;h') + Q(b,a;h'); valid for coprime a > b, h < a
     # (for i <= h < a, ib/a is never an integer, which the counting needs).
     hp = b * h // a
-    return h * hp * hp - 2 * t2(b, a, hp) + floor_sum(Instance(b, a, hp))
+    return h * hp * hp - 2 * t2(b, a, hp) + _floor_walk(b, a, hp)
 
 
 def t3_alt(a: int, b: int, h: int) -> int:
@@ -144,7 +145,7 @@ def t3_alt(a: int, b: int, h: int) -> int:
         return _t3_direct(a, b, h)
     q_blocks, m = divmod(h, a)
     t3_a = _t3_direct(a, b, a - 1) + b * b
-    fm = floor_sum(Instance(a, b, m))
+    fm = _floor_walk(a, b, m)
     full = (
         a * b * b * sum_squares(q_blocks - 1)
         + 2 * b * _full_period(a, b) * (q_blocks * (q_blocks - 1) // 2)

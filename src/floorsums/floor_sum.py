@@ -7,10 +7,10 @@ with K = floor(bh/a),
 
 combined with the division step Q(a, aq+r; h) = q*h(h+1)/2 + Q(a,r;h) and a
 periodicity reduction that brings h below a before the reciprocity is ever
-applied.  This module holds only those three rules; ``trace.walk`` drives
-them iteratively with a sign-carrying accumulator (the sign flips at every
-reciprocity), so adversarial (Fibonacci-like) inputs cannot exhaust the
-call stack and every step can be traced.
+applied.  ``trace.walk`` drives the three rules iteratively with a sign that
+flips at every reciprocity, so adversarial (Fibonacci-like) inputs cannot
+exhaust the call stack and every step can be traced.  ``_walk`` does not
+check (a, b, h): its callers have, as every public function does first.
 """
 
 from .models import Instance
@@ -43,10 +43,14 @@ def _reciprocity(a, b, h, sign, trace):
     return sign * h * k, -sign, k, None if trace is None else {"K": k}
 
 
+def _walk(a, b, h, trace=None):
+    return walk(a, b, h, trace, _division, _reciprocity, _period)
+
+
 def floor_sum(inst: Instance, trace=None) -> int:
     """Exact sum_{i=1..h} floor(i*b/a) for the (canonicalized) instance."""
     inst, _ = inst.canonical()
-    return walk(inst.a, inst.b, inst.h, trace, _division, _reciprocity, _period)
+    return _walk(inst.a, inst.b, inst.h, trace)
 
 
 def _remainder_sum(a, b, h, q):
@@ -57,4 +61,4 @@ def _remainder_sum(a, b, h, q):
 def remainder_sum(inst: Instance) -> int:
     """Exact sum_{i=1..h} r_i where r_i = i*b mod a (canonical instance)."""
     inst, _ = inst.canonical()
-    return _remainder_sum(inst.a, inst.b, inst.h, floor_sum(inst))
+    return _remainder_sum(inst.a, inst.b, inst.h, _walk(inst.a, inst.b, inst.h))

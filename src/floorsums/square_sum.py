@@ -14,9 +14,9 @@ shrinks b, so alternating the two walks down a Euclidean remainder chain in
 O(log max(a,b)) steps.  For h >= a the period rule adds the Q = h // a full
 periods in closed form (T1 has period a, the floor sum's periods come from
 ``floor_sum._period``), and b = 1 has the closed form h(h+1)(2h+1)/(12a).
-This module holds only these rules, each returning its contribution times
-the sign the walk carries; ``trace.walk`` drives them and flips the sign at
-every reciprocity.  All arithmetic is exact rational.
+Each rule returns its contribution times the sign the walk carries, and
+``trace.walk`` drives them; ``_walk`` (S) and ``_walk_t1`` (T1) never check
+(a, b, h), the public functions do.  All arithmetic is exact rational.
 
 With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
 sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _period as _floor_period
-from .floor_sum import floor_sum
+from .floor_sum import _walk as _floor_walk
 from .models import Instance
 from .numeric import exact_int, require_ints
 from .trace import walk
@@ -169,14 +169,18 @@ def _r2(a, b, h, t1_value):
     return exact_int(t1_value * a * a, "a^2*T1", a, b, h)
 
 
+def _walk_t1(a, b, h, trace=None):
+    s = _walk(a, b, h, trace)
+    return _t1(a, _floor_walk(a, b, h, trace), s)
+
+
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S."""
     a, b, h = _canonical(a, b, h)
-    s = _walk(a, b, h, trace)
-    return _t1(a, floor_sum(Instance(a, b, h), trace), s)
+    return _walk_t1(a, b, h, trace)
 
 
 def remainder_square_sum(a: int, b: int, h: int) -> int:
     """Exact sum_{i=1..h} r_i^2 = a^2 * T1(a,b;h) for the canonical (a,b)."""
     a, b, h = _canonical(a, b, h)
-    return _r2(a, b, h, t1(a, b, h))
+    return _r2(a, b, h, _walk_t1(a, b, h))

@@ -104,15 +104,14 @@ class TestCompute:
         for _ in range(2):
             a = rng.getrandbits(64) | (1 << 63)
             cases.append((a, rng.randrange(3 * a), rng.randrange(3 * a)))
-        parser = cli.build_parser()  # built once: building takes longer than most computes
         for a, b, h in cases:
             fields = cli._report_fields(full_report(Instance(a, b, h)))
             for targets in TARGET_LISTS:
-                args = parser.parse_args(["compute", "--a", str(a), "--b", str(b), "--h", str(h),
-                                          "--targets", ",".join(targets)])
-                assert args.func(args) == 0
+                code, out, _ = run(capsys, "compute", "--a", str(a), "--b", str(b), "--h", str(h),
+                                   "--targets", ",".join(targets))
+                assert code == 0
                 expected = {target: cli._fmt(fields[target]) for target in targets}
-                assert json.loads(capsys.readouterr().out)["sums"] == expected, (a, b, h, targets)
+                assert json.loads(out)["sums"] == expected, (a, b, h, targets)
 
     def test_each_chain_runs_at_most_once(self, capsys, monkeypatch):
         # Counts the outermost calls of each chain, through every module name
@@ -272,6 +271,27 @@ class TestFrobenius:
 
     def test_out_of_domain_exits_2(self, capsys):
         assert run(capsys, "frobenius", "--a", "2", "--b", "3", "--n", "7")[0] == 2
+
+    def test_far_below_the_frobenius_number_exits_2(self, capsys):
+        # The tail loop would run about 2^40 rounds, for days.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "frobenius", "--a", "1099511627777",
+                             "--b", "1099511627776", "--n", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "tail loop" in err
+
+    def test_tail_round_limit_is_inclusive(self, capsys, monkeypatch):
+        # a=7, b=4, n=0: m = 28 - 7 - 4 - 0 - 1 = 16, so 16 // 7 + 1 = 3
+        # rounds on one-word numbers.
+        frobenius = importlib.import_module("floorsums.frobenius")
+        monkeypatch.setattr(frobenius, "_MAX_TAIL_WORK", 3)
+        code, out, _ = run(capsys, "frobenius", "--a", "7", "--b", "4", "--n", "0")
+        assert code == 0
+        assert json.loads(out)["four_var_count"] == "1"
+        monkeypatch.setattr(frobenius, "_MAX_TAIL_WORK", 2)
+        assert run(capsys, "frobenius", "--a", "7", "--b", "4", "--n", "0")[0] == 2
+        assert run(capsys, "frobenius", "--a", "4", "--b", "7", "--n", "0")[0] == 2
 
 
 class TestBench:

@@ -1,0 +1,57 @@
+"""T2 above the oracle, checked by the reciprocity law of Dedekind sums.
+
+For coprime a, b the Dedekind sum s(b, a) = sum_{0<i<a} ((i/a))((ib/a)) is
+ir(a, b; a-1)/a^2 - (a-1)/4, where ir(a, b; h) = b*sum i^2 - a*T2(a, b; h)
+is sum i*r_i.  The reciprocity law (Rademacher and Grosswald, *Dedekind
+Sums*; Knuth, TAOCP Vol. 2, 3.3.3)
+
+    s(a, b) + s(b, a) = -1/4 + (a/b + b/a + 1/(ab))/12
+
+is derived from neither the S nor the T2 recursion, so it checks t2 at sizes
+the oracle cannot reach.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from floorsums import sum_squares, t2
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    # ((x)) = x - floor(x) - 1/2, and 0 at integers.
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
+
+
+def brute_dedekind(b: int, a: int) -> Fraction:
+    return sum((sawtooth(Fraction(i, a)) * sawtooth(Fraction(i * b, a)) for i in range(1, a)),
+               Fraction(0))
+
+
+def dedekind(b: int, a: int) -> Fraction:
+    """s(b, a) from T2(a, b; a-1)."""
+    ir = b * sum_squares(a - 1) - a * t2(a, b, a - 1)
+    return Fraction(ir, a * a) - Fraction(a - 1, 4)
+
+
+def test_matches_brute_force():
+    for a in range(2, 40):
+        for b in range(1, 40):
+            if math.gcd(a, b) == 1:
+                assert dedekind(b, a) == brute_dedekind(b, a), (a, b)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_reciprocity_law(bits):
+    rng = random.Random(bits)
+    for _ in range(2):
+        a = b = 0
+        while math.gcd(a, b) != 1:
+            a = rng.getrandbits(bits) | (1 << (bits - 1))
+            b = rng.randrange(2, a)
+        law = Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
+        assert dedekind(a, b) + dedekind(b, a) == law, (a, b)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -58,6 +59,19 @@ class TestFourVarCount:
             four_var_count(2, 3, 6)
         with pytest.raises(OutOfDomainError):
             four_var_count(2, 3, -1)
+
+    def test_tail_loop_limit(self):
+        # 2 * 10^6 rounds on 10-word numbers would take seconds: rejected
+        # before the loop starts.
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="tail loop"):
+            four_var_count(2 * 10**6 + 1, 2**600, 3)
+        assert time.perf_counter() - start < 1
+        # From one below the Frobenius number ab - a - b up, the tail has at
+        # most one round, whatever the size.
+        a, b = 2**40 + 1, 2**40
+        for n in (a * b - a - b - 1, a * b - a - b, a * b - 1):
+            assert isinstance(four_var_count(a, b, n), int)
 
     def test_non_int_rejected(self):
         for args in ((True, 3, 1), (2, 3, 2.5), (2, 3, True), (2.0, 3, 1)):
