@@ -98,9 +98,9 @@ def cmd_compute(args) -> int:
 
     trace_rows = []
 
-    def run(name, chain):
+    def run(name, chain, *chain_args):
         trace = Trace() if args.trace else None
-        value = chain(a, b, h, trace)
+        value = chain(*chain_args, trace)
         if args.trace:
             trace_rows.extend(_trace_json(trace, name))
         return value
@@ -109,12 +109,12 @@ def cmd_compute(args) -> int:
     # it; every target is a formula of the chain values.
     values = {}
     if wanted & {"q", "r", "r2", "t1", "t3", "qr"}:
-        values["q"] = q = floor_sum(canon)
+        values["q"] = q = run("q", floor_sum, canon)
         values["r"] = _remainder_sum(a, b, h, q)
     if wanted & {"s", "r2", "t1", "t3", "qr"}:
-        values["s"] = s = run("s", s_value)
+        values["s"] = s = run("s", s_value, a, b, h)
     if wanted & {"t2", "t3", "ir", "qr"}:
-        values["t2"] = t2v = run("t2", t2)
+        values["t2"] = t2v = run("t2", t2, a, b, h)
         values["ir"] = _ir(a, b, h, t2v)
     if "q" in values and "s" in values:
         values["t1"] = t1v = _t1(a, q, s)
@@ -225,15 +225,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_frobenius(args) -> int:
+    # Every value is computed, and every input checked, before any is formatted.
     doc = {
-        "a": str(args.a),
-        "b": str(args.b),
-        "nonrep_count": str(frob.nonrep_count(args.a, args.b)),
-        "nonrep_sum": str(frob.nonrep_sum(args.a, args.b)),
+        "a": args.a,
+        "b": args.b,
+        "nonrep_count": frob.nonrep_count(args.a, args.b),
+        "nonrep_sum": frob.nonrep_sum(args.a, args.b),
     }
     if args.n is not None:
-        doc["n"] = str(args.n)
-        doc["four_var_count"] = str(frob.four_var_count(args.a, args.b, args.n))
+        doc["n"] = args.n
+        doc["four_var_count"] = frob.four_var_count(args.a, args.b, args.n)
+    doc = {key: str(value) for key, value in doc.items()}
     if args.format == "json":
         print(json.dumps(doc))
     else:

@@ -5,14 +5,21 @@ a > b,
 
     T2(a,b;h) + (a/b)*T2(b,a;h')
         = a*h*h'^2/(2b) + (a/(2b)) * sum_{t<=h'} floor(ta/b)
-          - (a/(2b))*T1(a,b;h) + b*h(h+1)(2h+1)/(12a),
+          - (a/(2b))*T1(a,b;h) + b*h(h+1)(2h+1)/(12a).
 
-and for b >= a the division step T2(a,b;h) = T2(a, b mod a; h)
+The definition of S gives T1 = (2S(a,b;h) - (a+2)Q(a,b;h))/a, and the
+floor-sum reciprocity gives Q(a,b;h) = h*h' - Q(b,a;h'), so ``_rhs``
+computes the right-hand side from one S walk and one floor-sum walk as
+
+    (a*h*h'^2 + (a+2)*h*h' - 2Q(b,a;h') - 2S(a,b;h)) / (2b)
+        + b*h(h+1)(2h+1)/(12a).
+
+For b >= a the division step is T2(a,b;h) = T2(a, b mod a; h)
 + floor(b/a)*h(h+1)(2h+1)/6.  For b = 1 and h < a every floor is 0, and
 for h >= a a block decomposition adds the h // a full periods in closed
 form.  These four rules return their contribution times the coefficient
-the walk carries (-a/b at every swap), and ``trace.walk`` drives them.  T1
-and the inner floor sum are recomputed, unchecked, at every level (no memo),
+the walk carries (-a/b at every swap), and ``trace.walk`` drives them.  One
+S walk and one floor-sum walk run, unchecked, at every level (no memo),
 which is what makes the total work O((log max(a,b))^2).  T3 follows from
 T1 and T2, with an independent second route (t3_alt) used for
 cross-validation.
@@ -26,7 +33,8 @@ from .floor_sum import _full_period, floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, SumReport
 from .numeric import exact_int, require_ints, sum_squares
-from .square_sum import _canonical, _r2, _walk_t1, s_value, t1
+from .square_sum import _canonical, _r2, s_value, t1
+from .square_sum import _walk as _s_walk
 from .trace import Trace, walk
 
 
@@ -34,11 +42,9 @@ def _rhs(a, b, h, trace):
     # The T2 right-hand side, unchecked: coprime a > b >= 1, 0 <= h < a.
     hp = b * h // a
     qv = _floor_walk(b, a, hp, trace)
-    t1v = _walk_t1(a, b, h, trace)
+    s = _s_walk(a, b, h, trace)
     return (
-        Fraction(a * h * hp * hp, 2 * b)
-        + Fraction(a, 2 * b) * qv
-        - Fraction(a, 2 * b) * t1v
+        (a * h * hp * hp + (a + 2) * h * hp - 2 * qv - 2 * s) / (2 * b)
         + Fraction(b * h * (h + 1) * (2 * h + 1), 12 * a)
     )
 
@@ -129,7 +135,8 @@ def _t3_direct(a, b, h):
     # T3 = h*h'^2 - 2*T2(b,a;h') + Q(b,a;h'); valid for coprime a > b, h < a
     # (for i <= h < a, ib/a is never an integer, which the counting needs).
     hp = b * h // a
-    return h * hp * hp - 2 * t2(b, a, hp) + _floor_walk(b, a, hp)
+    t2_swapped = exact_int(_walk(b, a, hp, None), "T2", b, a, hp)
+    return h * hp * hp - 2 * t2_swapped + _floor_walk(b, a, hp)
 
 
 def t3_alt(a: int, b: int, h: int) -> int:

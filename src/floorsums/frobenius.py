@@ -11,10 +11,10 @@ import math
 from .errors import InternalInvariantError, InvalidArgumentError, OutOfDomainError
 from .numeric import require_ints
 
-# Most work of four_var_count's tail loop, in rounds times 64-bit words of m.
-# A word-round took 0.55-0.75 us up to 2400 bits (2^22 one-word rounds: 2.3-2.5
-# s, 2-vCPU machine), so 5-8 s, the scale of oracle.ORACLE_MAX_H.  Far below
-# the Frobenius number it would run for days (2^40 rounds at a, b near 2^40).
+# Most work of four_var_count's tail loop, in rounds times w*(1 + w//64) for w
+# 64-bit words of m (products cost more per word as m grows).  One unit took
+# 0.30-0.54 us at 1-300 words (2-vCPU machine), so 3-6 s at most, the scale of
+# oracle.ORACLE_MAX_H; far below ab - a - b it would run for days.
 _MAX_TAIL_WORK = 10**7
 
 
@@ -58,7 +58,8 @@ def _tail_correction(a: int, b: int, n: int) -> int:
         return 0
     if a < b:
         a, b = b, a
-    if (m // a + 1) * (m.bit_length() // 64 + 1) > _MAX_TAIL_WORK:
+    words = m.bit_length() // 64 + 1
+    if (m // a + 1) * words * (1 + words // 64) > _MAX_TAIL_WORK:
         raise InvalidArgumentError(f"n={n}: the tail loop passes its limit of {_MAX_TAIL_WORK}")
     total = 0
     for x in range(m // a + 1):

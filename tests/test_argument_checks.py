@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from floorsums import Instance, full_report, s_value, t1, t2
+from floorsums import Instance, full_report, s_value, t1, t2, t3_alt
 
 
 def instances(bits):
@@ -37,7 +37,7 @@ def checks(monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [64, 128])
-@pytest.mark.parametrize("fn", [s_value, t1, t2])
+@pytest.mark.parametrize("fn", [s_value, t1, t2, t3_alt])
 def test_one_check_per_call(checks, fn, bits):
     for a, b, h in instances(bits):
         checks[0] = 0

@@ -76,8 +76,17 @@ class TestCompute:
         for step in doc["trace"]:
             by_target.setdefault(step["target"], Fraction(0))
             by_target[step["target"]] += parse_rational(step["contribution"])
+        assert by_target["q"] == parse_rational(doc["sums"]["q"])
         assert by_target["s"] == parse_rational(doc["sums"]["s"])
         assert by_target["t2"] == parse_rational(doc["sums"]["t2"])
+
+    def test_q_alone_is_traced(self, capsys):
+        _, out, _ = run(capsys, "compute", "--a", "7", "--b", "3", "--h", "5",
+                        "--targets", "q", "--trace")
+        doc = json.loads(out)
+        assert doc["sums"] == {"q": "4"}
+        assert doc["trace"] and {step["target"] for step in doc["trace"]} == {"q"}
+        assert sum(parse_rational(step["contribution"]) for step in doc["trace"]) == 4
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "compute", "--a", "5", "--b", "3", "--h", "4",
@@ -273,13 +282,16 @@ class TestFrobenius:
         assert run(capsys, "frobenius", "--a", "2", "--b", "3", "--n", "7")[0] == 2
 
     def test_far_below_the_frobenius_number_exits_2(self, capsys):
-        # The tail loop would run about 2^40 rounds, for days.
-        start = time.perf_counter()
-        code, out, err = run(capsys, "frobenius", "--a", "1099511627777",
-                             "--b", "1099511627776", "--n", "0")
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == ""
-        assert "tail loop" in err
+        # The tail loop would run about 2^40 rounds, for days; or about
+        # 60,000 rounds on 157-word (10,000-bit) numbers, where a round costs
+        # more per word than on small ones, for over 10 s.
+        for a, b in ((2**40 + 1, 2**40), (60001, 3**6309)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "frobenius", "--a", str(a), "--b", str(b),
+                                 "--n", "0")
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == ""
+            assert "tail loop" in err
 
     def test_tail_round_limit_is_inclusive(self, capsys, monkeypatch):
         # a=7, b=4, n=0: m = 28 - 7 - 4 - 0 - 1 = 16, so 16 // 7 + 1 = 3

@@ -74,7 +74,7 @@ class TestT2:
         trace = Trace()
         value = t2(8411, 2732, 1221, trace)
         assert trace.replay() == value
-        assert trace.total_steps() > len(trace)  # inner T1/floor-sum work counted
+        assert trace.total_steps() > len(trace)  # inner S/floor-sum work counted
 
 
 class TestT3:

@@ -67,6 +67,12 @@ class TestFourVarCount:
         with pytest.raises(InvalidArgumentError, match="tail loop"):
             four_var_count(2 * 10**6 + 1, 2**600, 3)
         assert time.perf_counter() - start < 1
+        # About 60,000 rounds on 157-word (10,000-bit) numbers, whose products
+        # cost more per word, would take over 10 s: rejected too.
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="tail loop"):
+            four_var_count(60001, 3**6309, 0)
+        assert time.perf_counter() - start < 1
         # From one below the Frobenius number ab - a - b up, the tail has at
         # most one round, whatever the size.
         a, b = 2**40 + 1, 2**40

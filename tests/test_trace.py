@@ -40,11 +40,11 @@ S_8411_2732_1221 = [
 ]
 
 T2_13_5_11 = [
-    ("reciprocity", 13, 5, 11, {"h_prime": 4, "sub_steps": 17}, F(1764, 5)),
+    ("reciprocity", 13, 5, 11, {"h_prime": 4, "sub_steps": 9}, F(1764, 5)),
     ("division", 5, 13, 4, {"q": 2, "r": 3}, F(-156)),
-    ("reciprocity", 5, 3, 4, {"h_prime": 2, "sub_steps": 13}, F(-962, 15)),
+    ("reciprocity", 5, 3, 4, {"h_prime": 2, "sub_steps": 7}, F(-962, 15)),
     ("division", 3, 5, 2, {"q": 1, "r": 2}, F(65, 3)),
-    ("reciprocity", 3, 2, 2, {"h_prime": 1, "sub_steps": 9}, F(91, 6)),
+    ("reciprocity", 3, 2, 2, {"h_prime": 1, "sub_steps": 5}, F(91, 6)),
     ("division", 2, 3, 1, {"q": 1, "r": 1}, F(-13, 2)),
     ("base", 2, 1, 1, {}, F(0)),
 ]
@@ -70,4 +70,4 @@ def test_t2_trace():
     trace = Trace()
     assert t2(13, 5, 11, trace) == 163
     assert steps(trace) == T2_13_5_11
-    assert trace.total_steps() == len(T2_13_5_11) + 17 + 13 + 9
+    assert trace.total_steps() == len(T2_13_5_11) + 9 + 7 + 5
