@@ -13,6 +13,7 @@ import math
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import frobenius as frob
@@ -32,25 +33,33 @@ DEFAULT_H_GRID = ("0", "1", "a//2", "a-1", "a", "2*a+3")
 _REPORT_WORK = 100
 
 
+def _decimal(n: int) -> str:
+    # str(n) refuses more than sys.get_int_max_str_digits() digits (4,300 by
+    # default), which an output can pass while every input stays below it;
+    # Decimal converts an int exactly, from its binary digits, with no limit.
+    return str(Decimal(n))
+
+
 def _fmt(value) -> str:
     """Integers and rationals as decimal strings; "num/den" when den > 1."""
     if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    return _decimal(int(value))
 
 
-def _trace_json(trace: Trace, target: str) -> list:
+def _trace_json(steps: list, target: str) -> list:
     return [
         {
             "target": target,
             "rule": step.rule,
-            "a": str(step.a),
-            "b": str(step.b),
-            "h": str(step.h),
-            "derived": {k: str(v) for k, v in step.derived.items()},
+            "a": _fmt(step.a),
+            "b": _fmt(step.b),
+            "h": _fmt(step.h),
+            "derived": {k: _fmt(v) for k, v in step.derived.items()},
             "contribution": _fmt(step.contribution),
+            "children": _trace_json(step.children, target),
         }
-        for step in trace.steps
+        for step in steps
     ]
 
 
@@ -102,7 +111,7 @@ def cmd_compute(args) -> int:
         trace = Trace() if args.trace else None
         value = chain(*chain_args, trace)
         if args.trace:
-            trace_rows.extend(_trace_json(trace, name))
+            trace_rows.extend(_trace_json(trace.steps, name))
         return value
 
     # Each chain (Q, S, T2) runs at most once, for the targets derived from
@@ -125,9 +134,9 @@ def cmd_compute(args) -> int:
     sums = {target: _fmt(values[target]) for target in targets}
 
     doc = {
-        "a": str(args.a),
-        "b": str(args.b),
-        "h": str(args.h),
+        "a": _fmt(args.a),
+        "b": _fmt(args.b),
+        "h": _fmt(args.h),
         "normalized": normalized,
         "sums": sums,
     }
@@ -235,7 +244,7 @@ def cmd_frobenius(args) -> int:
     if args.n is not None:
         doc["n"] = args.n
         doc["four_var_count"] = frob.four_var_count(args.a, args.b, args.n)
-    doc = {key: str(value) for key, value in doc.items()}
+    doc = {key: _fmt(value) for key, value in doc.items()}
     if args.format == "json":
         print(json.dumps(doc))
     else:

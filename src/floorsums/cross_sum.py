@@ -20,9 +20,11 @@ for h >= a a block decomposition adds the h // a full periods in closed
 form.  These four rules return their contribution times the coefficient
 the walk carries (-a/b at every swap), and ``trace.walk`` drives them.  One
 S walk and one floor-sum walk run, unchecked, at every level (no memo),
-which is what makes the total work O((log max(a,b))^2).  T3 follows from
-T1 and T2, with an independent second route (t3_alt) used for
-cross-validation.
+which is what makes the total work O((log max(a,b))^2).  The reciprocity and
+period rules hand the trace that ``walk`` gives them to those nested walks,
+so a traced T2 step keeps their steps as its children; no rule builds a
+trace.  T3 follows from T1 and T2, with an independent second route
+(t3_alt) used for cross-validation.
 """
 
 import math
@@ -35,7 +37,7 @@ from .models import Instance, SumReport
 from .numeric import exact_int, require_ints, sum_squares
 from .square_sum import _canonical, _r2, s_value, t1
 from .square_sum import _walk as _s_walk
-from .trace import Trace, walk
+from .trace import walk
 
 
 def _rhs(a, b, h, trace):
@@ -70,18 +72,16 @@ def _unit(a, h, coef):
 
 def _reciprocity(a, b, h, coef, trace):
     hp = b * h // a
-    sub = None if trace is None else Trace()
-    c = coef * _rhs(a, b, h, sub)
-    derived = None if trace is None else {"h_prime": hp, "sub_steps": len(sub.steps)}
-    return c, coef * Fraction(-a, b), hp, derived
+    c = coef * _rhs(a, b, h, trace)
+    return c, coef * Fraction(-a, b), hp, None if trace is None else {"h_prime": hp}
 
 
-def _period(a, b, q_blocks, m):
+def _period(a, b, q_blocks, m, trace):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
     # the tail h mod a (and one h = a-1 walk) recurse.
-    t2_a = _walk(a, b, a - 1, None) + a * b
-    fm = _floor_walk(a, b, m)
+    t2_a = _walk(a, b, a - 1, trace) + a * b
+    fm = _floor_walk(a, b, m, trace)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)
     return (

@@ -24,7 +24,7 @@ def _full_period(a: int, b: int) -> int:
     return (a - 1) * (b - 1) // 2 + b
 
 
-def _period(a, b, q_blocks, m):
+def _period(a, b, q_blocks, m, trace):
     # i = ja + t: floor((ja+t)b/a) = jb + floor(tb/a), so the Q full periods
     # and the Q*b added to each of the m tail terms come in closed form.
     return (

@@ -140,12 +140,12 @@ def _reciprocity(a, b, h, sign, trace):
     return Fraction(sign * eta2_2ab, 2 * a * b), -sign, big_h, derived
 
 
-def _period(a, b, q_blocks, m):
+def _period(a, b, q_blocks, m, trace):
     # T1 is periodic in h with period a (full-period value (a-1)(2a-1)/(6a)),
     # and the floor sum's Q full periods come in closed form.
     return (
         Fraction(q_blocks * (a - 1) * (2 * a - 1), 12)
-        + Fraction(a + 2, 2) * _floor_period(a, b, q_blocks, m)
+        + Fraction(a + 2, 2) * _floor_period(a, b, q_blocks, m, trace)
     )
 
 

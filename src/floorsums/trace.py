@@ -3,7 +3,11 @@ that drives every chain.
 
 Each step records the rule applied, the (a, b, h) state on entry, any derived
 parameters, and the signed contribution the step adds to the final value, so
-summing the contributions replays the computation exactly.
+summing the contributions replays the computation exactly.  A step whose rule
+ran walks of its own (the T2 chain's reciprocity and period rules do) keeps
+their steps as its ``children``, so a trace is a tree: the children of a T2
+reciprocity step replay to Q(b,a;h') + S(a,b;h), those of a T2 period step to
+T2(a,b;a-1) + Q(a,b;m).  Only ``walk`` builds steps.
 """
 
 from dataclasses import dataclass, field
@@ -23,22 +27,24 @@ class TraceStep:
     h: int
     derived: dict
     contribution: Fraction
+    children: list
 
 
 @dataclass
 class Trace:
     steps: list = field(default_factory=list)
 
-    def record(self, rule, a, b, h, derived, contribution):
-        self.steps.append(TraceStep(rule, a, b, h, dict(derived), Fraction(contribution)))
+    def record(self, rule, a, b, h, derived, contribution, children):
+        self.steps.append(TraceStep(rule, a, b, h, dict(derived), Fraction(contribution), children))
 
     def replay(self) -> Fraction:
-        """Sum of contributions; equals the value the traced call returned."""
+        """Sum of the top-level contributions; equals the value the traced call
+        returned (a step's contribution already holds its children's work)."""
         return sum((s.contribution for s in self.steps), Fraction(0))
 
     def total_steps(self) -> int:
-        """Step count including sub-steps done by nested computations."""
-        return len(self.steps) + sum(s.derived.get("sub_steps", 0) for s in self.steps)
+        """Number of steps in the whole tree, children included."""
+        return sum(1 + Trace(s.children).total_steps() for s in self.steps)
 
     def __len__(self):
         return len(self.steps)
@@ -61,8 +67,8 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
     (1 at the start), and every rule returns its contribution already
     multiplied by it:
 
-    - ``period(a, b, Q, m)``: f(a, b; Qa + m) - f(a, b; m), used once, on
-      entry, when h >= a >= 2 and b >= 1; after it h < a or a == 1;
+    - ``period(a, b, Q, m, trace)``: f(a, b; Qa + m) - f(a, b; m), used once,
+      on entry, when h >= a >= 2 and b >= 1; after it h < a or a == 1;
     - ``division(a, q, h, coef)``: coef * (f(a, b; h) - f(a, b - qa; h)),
       q = b // a; with a == 1 and q = b it is the base case;
     - ``unit(a, h, coef)``: coef * f(a, 1; h) in closed form; without it
@@ -71,35 +77,40 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
       f(a, b; h) = R - c * f(b, a; h'), returns (coef * R, -c * coef, h',
       derived), derived being the dict to record (None without a trace).
 
-    ``zero`` is the empty sum; it fixes the type of the result.
+    When tracing, the period and reciprocity rules get a fresh ``Trace`` for
+    the walks they run, and its steps become the children of their step;
+    untraced, they get None.  ``zero`` is the empty sum; it fixes the type of
+    the result.
     """
     total = zero
     if h >= a >= 2 and b >= 1:
         q_blocks, m = divmod(h, a)
-        head = period(a, b, q_blocks, m)
+        children = None if trace is None else Trace()
+        head = period(a, b, q_blocks, m, children)
         total += head
         if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head)
+            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head, children.steps)
         h = m
     coef = 1
     while h and b:
         if a == 1 or (b == 1 and unit is not None):
             c = division(1, b, h, coef) if a == 1 else unit(a, h, coef)
             if trace is not None:
-                trace.record(RULE_BASE, a, b, h, {}, c)
+                trace.record(RULE_BASE, a, b, h, {}, c, [])
             return total + c
         if b >= a:
             q, r = divmod(b, a)
             c = division(a, q, h, coef)
             if trace is not None:
-                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c)
+                trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c, [])
             b = r
         else:
-            c, coef, h_next, derived = reciprocity(a, b, h, coef, trace)
+            children = None if trace is None else Trace()
+            c, coef, h_next, derived = reciprocity(a, b, h, coef, children)
             if trace is not None:
-                trace.record(RULE_RECIPROCITY, a, b, h, derived, c)
+                trace.record(RULE_RECIPROCITY, a, b, h, derived, c, children.steps)
             a, b, h = b, a, h_next
         total += c
     if trace is not None:
-        trace.record(RULE_BASE, a, b, h, {}, 0)
+        trace.record(RULE_BASE, a, b, h, {}, 0, [])
     return total

@@ -2,11 +2,25 @@ import importlib
 import itertools
 import json
 import random
+import sys
 import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
-from floorsums import Instance, cli, cross_sum, full_report, oracle, square_sum
+import pytest
+
+from floorsums import (
+    Instance,
+    cli,
+    cross_sum,
+    floor_sum,
+    full_report,
+    nonrep_count,
+    nonrep_sum,
+    oracle,
+    square_sum,
+)
 from floorsums.cli import TARGETS, main
 
 
@@ -18,6 +32,21 @@ def run(capsys, *argv):
 
 # Every single target, every pair and all nine.
 TARGET_LISTS = [(t,) for t in TARGETS] + list(itertools.combinations(TARGETS, 2)) + [TARGETS]
+
+
+# Python's default limit on int <-> str conversion, in decimal digits.
+STR_DIGITS_LIMIT = 4300
+
+
+def int_max_str_digits():
+    # None on interpreters without the limit.
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def big_int(text):
+    # int(text) refuses more than STR_DIGITS_LIMIT digits; Decimal does not.
+    assert text.isdigit(), text[:40]
+    return int(Decimal(text))
 
 
 def parse_rational(text):
@@ -79,6 +108,45 @@ class TestCompute:
         assert by_target["q"] == parse_rational(doc["sums"]["q"])
         assert by_target["s"] == parse_rational(doc["sums"]["s"])
         assert by_target["t2"] == parse_rational(doc["sums"]["t2"])
+
+    def test_trace_rows_keep_nested_walks_as_children(self, capsys):
+        _, out, _ = run(capsys, "compute", "--a", "13", "--b", "5", "--h", "11",
+                        "--targets", "t2", "--trace")
+        rows = json.loads(out)["trace"]
+        assert [len(row["children"]) for row in rows] == [9, 0, 7, 0, 5, 0, 0]
+
+        def tree(rows):
+            for row in rows:
+                yield row
+                yield from tree(row["children"])
+
+        assert sum(1 for _ in tree(rows)) == 28
+        assert all(set(row) == set(rows[0]) and row["target"] == "t2" for row in tree(rows))
+        # The first step's children are the Q(5,13;4) then S(13,5;11) walks.
+        hp = int(rows[0]["derived"]["h_prime"])
+        assert sum(parse_rational(row["contribution"]) for row in rows[0]["children"]) == (
+            floor_sum(Instance(5, 13, hp)) + square_sum.s_value(13, 5, 11)
+        )
+
+    def test_results_past_the_str_digits_limit(self, capsys):
+        # Inputs of about 3,000 digits, Q of about 6,000.
+        a, b = 3**6309, 2**9990 + 1
+        limit = int_max_str_digits()
+        code, out, err = run(capsys, "compute", "--a", str(a), "--b", str(b), "--h", str(b),
+                             "--targets", "q")
+        assert (code, err) == (0, "")
+        q = json.loads(out)["sums"]["q"]
+        assert len(q) > STR_DIGITS_LIMIT
+        assert big_int(q) == floor_sum(Instance(a, b, b))
+        assert int_max_str_digits() == limit
+
+    def test_input_past_the_str_digits_limit_exits_2(self, capsys):
+        if int_max_str_digits() is None:
+            pytest.skip("this interpreter has no int <-> str digit limit")
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--a", "7" * (STR_DIGITS_LIMIT + 1), "--b", "3", "--h", "4"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_q_alone_is_traced(self, capsys):
         _, out, _ = run(capsys, "compute", "--a", "7", "--b", "3", "--h", "5",
@@ -272,6 +340,17 @@ class TestFrobenius:
         code, out, _ = run(capsys, "frobenius", "--a", "2", "--b", "3", "--n", "5")
         assert json.loads(out)["four_var_count"] == "16"
         assert code == 0
+
+    def test_results_past_the_str_digits_limit(self, capsys):
+        a, b = 60001, 3**6309
+        limit = int_max_str_digits()
+        code, out, err = run(capsys, "frobenius", "--a", str(a), "--b", str(b))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert len(doc["nonrep_sum"]) > STR_DIGITS_LIMIT
+        assert big_int(doc["nonrep_count"]) == nonrep_count(a, b)
+        assert big_int(doc["nonrep_sum"]) == nonrep_sum(a, b)
+        assert int_max_str_digits() == limit
 
     def test_trivial_a1(self, capsys):
         code, out, _ = run(capsys, "frobenius", "--a", "1", "--b", "9")

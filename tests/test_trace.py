@@ -1,14 +1,19 @@
-"""Golden traces: the exact steps of one walk per sum.
+"""Golden traces: the exact steps of one walk per sum, and the shape of the tree.
 
 Each step is (rule, a, b, h, derived, contribution).  The floor-sum case
 takes the period reduction, the S case alternates division and
 reciprocity down the paper's worked example, and the T2 case ends in the
-b = 1 closed form.
+b = 1 closed form.  The T2 chain's reciprocity and period steps keep the
+walks they ran as children; no other step has any.
 """
 
+import math
+import random
 from fractions import Fraction as F
 
-from floorsums import Instance, Trace, floor_sum, s_value, t2
+import pytest
+
+from floorsums import Instance, Trace, floor_sum, s_value, t1, t2
 
 FLOOR_SUM_7_3_23 = [
     ("period-reduction", 7, 3, 23, {"Q": 3, "m": 2}, F(108)),
@@ -40,11 +45,11 @@ S_8411_2732_1221 = [
 ]
 
 T2_13_5_11 = [
-    ("reciprocity", 13, 5, 11, {"h_prime": 4, "sub_steps": 9}, F(1764, 5)),
+    ("reciprocity", 13, 5, 11, {"h_prime": 4}, F(1764, 5)),
     ("division", 5, 13, 4, {"q": 2, "r": 3}, F(-156)),
-    ("reciprocity", 5, 3, 4, {"h_prime": 2, "sub_steps": 7}, F(-962, 15)),
+    ("reciprocity", 5, 3, 4, {"h_prime": 2}, F(-962, 15)),
     ("division", 3, 5, 2, {"q": 1, "r": 2}, F(65, 3)),
-    ("reciprocity", 3, 2, 2, {"h_prime": 1, "sub_steps": 5}, F(91, 6)),
+    ("reciprocity", 3, 2, 2, {"h_prime": 1}, F(91, 6)),
     ("division", 2, 3, 1, {"q": 1, "r": 1}, F(-13, 2)),
     ("base", 2, 1, 1, {}, F(0)),
 ]
@@ -70,4 +75,96 @@ def test_t2_trace():
     trace = Trace()
     assert t2(13, 5, 11, trace) == 163
     assert steps(trace) == T2_13_5_11
+    assert [len(step.children) for step in trace.steps] == [9, 0, 7, 0, 5, 0, 0]
     assert trace.total_steps() == len(T2_13_5_11) + 9 + 7 + 5
+
+
+# The grid of the other trace tests: non-coprime pairs, b = 0, a = 1, b >= a
+# and h >= a all occur.
+GRID = [
+    (a, b, h)
+    for a in range(1, 13)
+    for b in range(0, 21)
+    for h in sorted({0, 1, a // 2, a - 1, a, 3 * a + 2})
+]
+
+
+def all_steps(steps):
+    for step in steps:
+        yield step
+        yield from all_steps(step.children)
+
+
+def test_t2_reciprocity_children_replay_to_q_and_s():
+    seen = 0
+    for a, b, h in GRID:
+        trace = Trace()
+        assert t2(a, b, h, trace) == trace.replay()
+        for step in all_steps(trace.steps):
+            if step.rule == "reciprocity" and "h_prime" in step.derived:
+                hp = step.derived["h_prime"]
+                expected = floor_sum(Instance(step.b, step.a, hp)) + s_value(step.a, step.b, step.h)
+                assert Trace(step.children).replay() == expected, (a, b, h, step)
+                seen += 1
+    assert seen > 100
+
+
+def test_t2_period_children_replay_to_t2_and_q():
+    seen = 0
+    for a, b, h in GRID:
+        trace = Trace()
+        t2(a, b, h, trace)
+        for step in trace.steps:
+            if step.rule == "period-reduction":
+                m = step.derived["m"]
+                expected = t2(step.a, step.b, step.a - 1) + floor_sum(Instance(step.a, step.b, m))
+                assert Trace(step.children).replay() == expected, (a, b, h, step)
+                assert step.children, (a, b, h)
+                seen += 1
+    assert seen > 100
+
+
+@pytest.mark.parametrize("name, call", [
+    ("floor_sum", lambda a, b, h, trace: floor_sum(Instance(a, b, h), trace)),
+    ("s_value", s_value),
+    ("t1", t1),
+])
+def test_other_chains_have_no_children(name, call):
+    for a, b, h in GRID:
+        trace = Trace()
+        call(a, b, h, trace)
+        assert trace.steps, (name, a, b, h)
+        assert all(step.children == [] for step in trace.steps), (name, a, b, h)
+        assert trace.total_steps() == len(trace)
+
+
+def test_total_steps_counts_the_whole_tree():
+    for a, b, h in GRID:
+        trace = Trace()
+        t2(a, b, h, trace)
+        assert trace.total_steps() == sum(1 for _ in all_steps(trace.steps))
+
+
+def seeded_t2_instances():
+    rng = random.Random(2107)
+    for bits in (64, 128):
+        for _ in range(3):
+            while True:
+                a = rng.getrandbits(bits) | (1 << (bits - 1))
+                b = rng.randrange(1, a)
+                if math.gcd(a, b) == 1:
+                    break
+            yield a, b, rng.randrange(a)
+
+
+def test_t2_total_steps_frozen():
+    # For h < a the tree holds exactly the steps the T2 walk and its nested
+    # S and floor-sum walks take, so these counts (those of the code before
+    # nested walks were kept as children) must not move.
+    counts = []
+    for a, b, h in seeded_t2_instances():
+        trace = Trace()
+        t2(a, b, h, trace)
+        counts.append((len(trace), trace.total_steps()))
+    assert counts == [(75, 2888), (70, 2573), (77, 3041),
+                      (165, 13621), (161, 13281), (157, 12637)]
