@@ -63,6 +63,20 @@ def _trace_json(steps: list, target: str) -> list:
     ]
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument.  A text past Python's digit limit for reading an
+    int is refused with its length, not echoed back as argparse would."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(text) > limit:
+            raise argparse.ArgumentTypeError(
+                f"{len(text)} characters; an int may have at most {limit} digits"
+            ) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _eval_h_token(token: str, a: int) -> int:
     """Evaluate an h-grid token: an integer expression in the variable a."""
     try:
@@ -151,13 +165,19 @@ def cmd_compute(args) -> int:
         for key, value in sums.items():
             print(f"{key} = {value}")
         if args.trace:
-            for row in trace_rows:
-                derived = " ".join(f"{k}={v}" for k, v in row["derived"].items())
-                print(
-                    f"# [{row['target']}] {row['rule']} a={row['a']} b={row['b']} "
-                    f"h={row['h']} {derived} contribution={row['contribution']}"
-                )
+            _print_trace_text(trace_rows, 0)
     return 0
+
+
+def _print_trace_text(rows: list, depth: int) -> None:
+    # One line per row, each child two spaces deeper than its parent.
+    for row in rows:
+        derived = " ".join(f"{k}={v}" for k, v in row["derived"].items())
+        print(
+            f"# {'  ' * depth}[{row['target']}] {row['rule']} a={row['a']} b={row['b']} "
+            f"h={row['h']} {derived} contribution={row['contribution']}"
+        )
+        _print_trace_text(row["children"], depth + 1)
 
 
 def _report_fields(report):
@@ -330,31 +350,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute the requested sums for one instance")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--a", type=_int_arg, required=True)
+    p.add_argument("--b", type=_int_arg, required=True)
+    p.add_argument("--h", type=_int_arg, required=True)
     p.add_argument("--targets", help=f"comma-separated subset of {','.join(TARGETS)}")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--trace", action="store_true", help="include the recursion trace")
 
     p = sub.add_parser("verify", help="compare the fast paths against the brute-force oracle")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--max", type=int, help="sweep all coprime pairs 2 <= a,b <= MAX")
+    p.add_argument("--a", type=_int_arg)
+    p.add_argument("--b", type=_int_arg)
+    p.add_argument("--h", type=_int_arg)
+    p.add_argument("--max", type=_int_arg, help="sweep all coprime pairs 2 <= a,b <= MAX")
     p.add_argument("--h-grid", dest="h_grid",
                    help="comma-separated h expressions in a (default 0,1,a//2,a-1,a,2*a+3)")
 
     p = sub.add_parser("frobenius", help="nonrepresentable count/sum and 4-variable solution count")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--a", type=_int_arg, required=True)
+    p.add_argument("--b", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("bench", help="scaling benchmark of the fast paths")
     p.add_argument("--bits", default="32,64,128", help="comma-separated bit sizes")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=_int_arg, default=3)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     return parser

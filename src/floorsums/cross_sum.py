@@ -17,14 +17,30 @@ computes the right-hand side from one S walk and one floor-sum walk as
 For b >= a the division step is T2(a,b;h) = T2(a, b mod a; h)
 + floor(b/a)*h(h+1)(2h+1)/6.  For b = 1 and h < a every floor is 0, and
 for h >= a a block decomposition adds the h // a full periods in closed
-form.  These four rules return their contribution times the coefficient
-the walk carries (-a/b at every swap), and ``trace.walk`` drives them.  One
-S walk and one floor-sum walk run, unchecked, at every level (no memo),
-which is what makes the total work O((log max(a,b))^2).  The reciprocity and
-period rules hand the trace that ``walk`` gives them to those nested walks,
-so a traced T2 step keeps their steps as its children; no rule builds a
-trace.  T3 follows from T1 and T2, with an independent second route
-(t3_alt) used for cross-validation.
+form, from T2(a,b;a-1) and one floor sum.  These rules return their
+contribution times the coefficient the walk carries (-a/b at every swap),
+and ``trace.walk`` drives them.  On the paper's chain one S walk and one
+floor-sum walk run, unchecked, at every level (no memo), which is what
+makes the work of the tail h mod a O((log max(a,b))^2).  The reciprocity
+and period rules hand the trace that ``walk`` gives them to those nested
+walks, so a traced T2 step keeps their steps as its children; no rule
+builds a trace.
+
+T2(a,b;a-1), the period term, walks a chain of its own in O(log max(a,b))
+steps with no nested walk.  At h = a-1, h' = b-1, so every state of that
+chain is a full period, where for coprime a > b
+
+    S(a,b;a-1) = (a-1)(2a-1)/12 + (a+2)(a-1)(b-1)/4,
+    Q(b,a;b-1) = (a-1)(b-1)/2,
+
+and the right-hand side above becomes (a-1)(8ab^2 - 9ab + a - b^2 + 1)/(12b).
+This chain is the reciprocity law of Dedekind sums written for T2.  Its
+reciprocity steps have no children and record no h_prime (it is b-1).
+A direct call t2(a, b, a-1) still takes the paper's chain, and so does
+t3_alt, which thereby cross-checks the full-period rule.
+
+T3 follows from T1 and T2, with an independent second route (t3_alt) used
+for cross-validation.
 """
 
 import math
@@ -76,11 +92,22 @@ def _reciprocity(a, b, h, coef, trace):
     return c, coef * Fraction(-a, b), hp, None if trace is None else {"h_prime": hp}
 
 
+def _full_period_reciprocity(a, b, h, coef, trace):
+    # The reciprocity at h = a-1, where h' = b-1, so the next state (b, a;
+    # b-1) is again a full period.  The right-hand side is one rational (see
+    # the module docstring); it and the new coefficient are each built as
+    # one Fraction.
+    p, q = coef.numerator, coef.denominator
+    c = Fraction(p * (a - 1) * (8 * a * b * b - 9 * a * b + a - b * b + 1), 12 * q * b)
+    return c, Fraction(-p * a, q * b), b - 1, None if trace is None else {}
+
+
 def _period(a, b, q_blocks, m, trace):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
-    # the tail h mod a (and one h = a-1 walk) recurse.
-    t2_a = _walk(a, b, a - 1, trace) + a * b
+    # the tail h mod a recurses.  T2(a,b;a-1) walks the full-period chain,
+    # whose h = a-1 never reaches the period rule.
+    t2_a = walk(a, b, a - 1, trace, _division, _full_period_reciprocity, None, _unit) + a * b
     fm = _floor_walk(a, b, m, trace)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)

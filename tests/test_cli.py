@@ -148,6 +148,36 @@ class TestCompute:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_input_past_the_str_digits_limit_is_named_in_one_short_line(self, capsys):
+        if int_max_str_digits() is None:
+            pytest.skip("this interpreter has no int <-> str digit limit")
+        text = "7" * 4393
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--a", text, "--b", "3", "--h", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err) < 400, err[:400]
+        last = err.strip().splitlines()[-1]
+        assert "--a" in last and "4393" in last and str(int_max_str_digits()) in last
+
+    def test_text_trace_prints_every_json_row(self, capsys):
+        argv = ["compute", "--a", "13", "--b", "5", "--h", "11", "--targets", "t2", "--trace"]
+        _, out, _ = run(capsys, *argv)
+
+        def tree(rows, depth):
+            for row in rows:
+                yield depth, row
+                yield from tree(row["children"], depth + 1)
+
+        rows = list(tree(json.loads(out)["trace"], 0))
+        _, text, _ = run(capsys, *argv, "--format", "text")
+        lines = [line for line in text.splitlines() if line.startswith("# ")]
+        assert len(lines) == len(rows) == 28
+        for line, (depth, row) in zip(lines, rows):
+            # Each child two spaces deeper than its parent.
+            assert line.startswith("# " + "  " * depth + f"[t2] {row['rule']} a={row['a']} ")
+            assert line.endswith(f"contribution={row['contribution']}")
+
     def test_q_alone_is_traced(self, capsys):
         _, out, _ = run(capsys, "compute", "--a", "7", "--b", "3", "--h", "5",
                         "--targets", "q", "--trace")

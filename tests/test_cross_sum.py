@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,20 @@ class TestT3:
                     continue
                 for h in H_GRID(a):
                     assert t3(a, b, h) == brute_t3(a, b, h), (a, b, h)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_routes_agree_past_one_period(self, bits):
+        # h = Qa + m: t3 takes the period reduction (and its full-period
+        # chain) through t2, t3_alt its own block split on the paper's chain.
+        rng = random.Random(bits)
+        for _ in range(2):
+            a = b = 0
+            while math.gcd(a, b) != 1:
+                a = rng.getrandbits(bits) | (1 << (bits - 1))
+                b = rng.randrange(1, a)
+            for q_blocks in (1, 3):
+                h = q_blocks * a + rng.randrange(a)
+                assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
 
 
 class TestFullReport:

@@ -8,7 +8,9 @@ Sums*; Knuth, TAOCP Vol. 2, 3.3.3)
     s(a, b) + s(b, a) = -1/4 + (a/b + b/a + 1/(ab))/12
 
 is derived from neither the S nor the T2 recursion, so it checks t2 at sizes
-the oracle cannot reach.
+the oracle cannot reach.  Up to 512 bits the law checks the paper's chain,
+t2(a, b, a-1); from 1024 to 4096 bits it checks the full-period chain that
+t2(a, b, a) - ab = T2(a, b; a-1) takes through the period reduction.
 """
 
 import math
@@ -32,10 +34,20 @@ def brute_dedekind(b: int, a: int) -> Fraction:
                Fraction(0))
 
 
-def dedekind(b: int, a: int) -> Fraction:
-    """s(b, a) from T2(a, b; a-1)."""
-    ir = b * sum_squares(a - 1) - a * t2(a, b, a - 1)
+def dedekind_from_t2(b: int, a: int, t2_value: int) -> Fraction:
+    """s(b, a) from t2_value = T2(a, b; a-1)."""
+    ir = b * sum_squares(a - 1) - a * t2_value
     return Fraction(ir, a * a) - Fraction(a - 1, 4)
+
+
+def dedekind(b: int, a: int) -> Fraction:
+    """s(b, a) from the paper's chain for T2(a, b; a-1)."""
+    return dedekind_from_t2(b, a, t2(a, b, a - 1))
+
+
+def dedekind_by_period(b: int, a: int) -> Fraction:
+    """s(b, a) from the full-period chain: T2(a, b; a) - ab = T2(a, b; a-1)."""
+    return dedekind_from_t2(b, a, t2(a, b, a) - a * b)
 
 
 def test_matches_brute_force():
@@ -55,3 +67,14 @@ def test_reciprocity_law(bits):
             b = rng.randrange(2, a)
         law = Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
         assert dedekind(a, b) + dedekind(b, a) == law, (a, b)
+
+
+@pytest.mark.parametrize("bits", [1024, 2048, 4096])
+def test_reciprocity_law_through_the_period_reduction(bits):
+    rng = random.Random(bits)
+    a = b = 0
+    while math.gcd(a, b) != 1:
+        a = rng.getrandbits(bits) | (1 << (bits - 1))
+        b = rng.randrange(2, a)
+    law = Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
+    assert dedekind_by_period(a, b) + dedekind_by_period(b, a) == law, bits

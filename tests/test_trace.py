@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from floorsums import Instance, Trace, floor_sum, s_value, t1, t2
+from floorsums.trace import euclid_steps
 
 FLOOR_SUM_7_3_23 = [
     ("period-reduction", 7, 3, 23, {"Q": 3, "m": 2}, F(108)),
@@ -168,3 +169,21 @@ def test_t2_total_steps_frozen():
         counts.append((len(trace), trace.total_steps()))
     assert counts == [(75, 2888), (70, 2573), (77, 3041),
                       (165, 13621), (161, 13281), (157, 12637)]
+
+
+@pytest.mark.parametrize("bits", [64, 512, 4096])
+def test_t2_period_term_takes_logarithmic_steps(bits):
+    # T2(a,b;a) = T2(a,b;a-1) + ab comes from the period reduction, whose
+    # T2(a,b;a-1) walks the full-period chain: O(log) steps, none of them
+    # with nested walks, where the paper's chain takes O(log^2).
+    rng = random.Random(bits)
+    a = b = 0
+    while math.gcd(a, b) != 1:
+        a = rng.getrandbits(bits) | (1 << (bits - 1))
+        b = rng.randrange(2, a)
+    trace = Trace()
+    assert t2(a, b, a, trace) == trace.replay()
+    assert trace.total_steps() <= 2 * euclid_steps(a, b) + 2, bits
+    period = trace.steps[0]
+    assert period.rule == "period-reduction"
+    assert period.children and all(step.children == [] for step in period.children)
