@@ -28,6 +28,7 @@ from .trace import Trace
 
 TARGETS = ("q", "r", "r2", "t1", "t2", "t3", "ir", "qr", "s")
 DEFAULT_H_GRID = ("0", "1", "a//2", "a-1", "a", "2*a+3")
+_BENCH_COLUMNS = ("bits", "rep", "seed", "target", "steps", "nanos")
 # verify's cost of one full_report, in oracle iterations: one full_report at
 # h = 0 took 48-63 us and one oracle iteration 0.48-0.60 us.
 _REPORT_WORK = 100
@@ -63,6 +64,11 @@ def _trace_json(steps: list, target: str) -> list:
     ]
 
 
+def _shown(text: str) -> str:
+    # A bad argument in a one-line error message: quoted, or its length.
+    return repr(text) if len(text) <= 40 else f"<{len(text)} characters>"
+
+
 def _int_arg(text: str) -> int:
     """An integer argument.  A text past Python's digit limit for reading an
     int is refused with its length, not echoed back as argparse would."""
@@ -74,7 +80,7 @@ def _int_arg(text: str) -> int:
             raise argparse.ArgumentTypeError(
                 f"{len(text)} characters; an int may have at most {limit} digits"
             ) from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def _eval_h_token(token: str, a: int) -> int:
@@ -82,7 +88,7 @@ def _eval_h_token(token: str, a: int) -> int:
     try:
         node = ast.parse(token.strip(), mode="eval").body
     except SyntaxError:
-        raise InvalidArgumentError(f"bad h-grid token: {token!r}") from None
+        raise InvalidArgumentError(f"bad h-grid token: {_shown(token)}") from None
 
     def ev(n):
         if isinstance(n, ast.Constant) and isinstance(n.value, int):
@@ -101,11 +107,14 @@ def _eval_h_token(token: str, a: int) -> int:
                 return left * right
             if isinstance(n.op, (ast.Div, ast.FloorDiv)):
                 if right == 0:
-                    raise InvalidArgumentError(f"h-grid token divides by zero: {token!r}")
+                    raise InvalidArgumentError(f"h-grid token divides by zero: {_shown(token)}")
                 return left // right
-        raise InvalidArgumentError(f"bad h-grid token: {token!r}")
+        raise InvalidArgumentError(f"bad h-grid token: {_shown(token)}")
 
-    return max(ev(node), 0)
+    try:
+        return max(ev(node), 0)
+    except RecursionError:
+        raise InvalidArgumentError(f"h-grid token nested too deeply: {_shown(token)}") from None
 
 
 def cmd_compute(args) -> int:
@@ -284,9 +293,9 @@ def _random_coprime(bits: int, rng: random.Random) -> tuple[int, int]:
 
 def cmd_bench(args) -> int:
     try:
-        bit_sizes = [int(tok) for tok in args.bits.split(",")]
-    except ValueError:
-        raise InvalidArgumentError(f"bad --bits list: {args.bits!r}") from None
+        bit_sizes = [_int_arg(tok) for tok in args.bits.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidArgumentError(f"bad --bits entry: {exc}") from None
     if args.reps < 1 or any(bits < 2 for bits in bit_sizes):
         raise InvalidArgumentError("--reps must be >= 1 and all --bits >= 2")
 
@@ -297,46 +306,31 @@ def cmd_bench(args) -> int:
         for rep in range(args.reps):
             a, b = _random_coprime(bits, rng)
             h = rng.randrange(1, a)
-
-            tr1 = Trace()
-            start = time.perf_counter_ns()
-            t1_value = t1(a, b, h, tr1)
-            t1_nanos = time.perf_counter_ns() - start
-            rows.append((bits, rep, args.seed, "t1", len(tr1.steps), t1_nanos))
-
-            tr2 = Trace()
-            start = time.perf_counter_ns()
-            t2_value = t2(a, b, h, tr2)
-            t2_nanos = time.perf_counter_ns() - start
-            rows.append((bits, rep, args.seed, "t2", tr2.total_steps(), t2_nanos))
+            values = {}
+            # Looked up at call time, so a replaced t1 or t2 is the one timed.
+            for target, chain in (("t1", t1), ("t2", t2)):
+                trace = Trace()
+                start = time.perf_counter_ns()
+                values[target] = chain(a, b, h, trace)
+                nanos = time.perf_counter_ns() - start
+                rows.append((bits, rep, args.seed, target, trace.total_steps(), nanos))
 
             if h <= oracle.ORACLE_MAX_H:
                 start = time.perf_counter_ns()
                 ref = oracle_report(Instance(a, b, h))
                 oracle_nanos = time.perf_counter_ns() - start
                 rows.append((bits, rep, args.seed, "oracle", h, oracle_nanos))
-                if ref.t1 != t1_value or ref.t2 != t2_value:
+                if (ref.t1, ref.t2) != (values["t1"], values["t2"]):
                     mismatches += 1
                     print(f"MISMATCH vs oracle at bits={bits} rep={rep} a={a} b={b} h={h}",
                           file=sys.stderr)
 
     if args.format == "csv":
-        print("bits,rep,seed,target,steps,nanos")
+        print(",".join(_BENCH_COLUMNS))
         for row in rows:
             print(",".join(str(field) for field in row))
     else:
-        doc = [
-            {
-                "bits": str(bits),
-                "rep": str(rep),
-                "seed": str(seed),
-                "target": target,
-                "steps": str(steps),
-                "nanos": str(nanos),
-            }
-            for bits, rep, seed, target, steps, nanos in rows
-        ]
-        print(json.dumps(doc))
+        print(json.dumps([dict(zip(_BENCH_COLUMNS, map(str, row))) for row in rows]))
     return 0 if mismatches == 0 else 1
 
 

@@ -26,18 +26,19 @@ and period rules hand the trace that ``walk`` gives them to those nested
 walks, so a traced T2 step keeps their steps as its children; no rule
 builds a trace.
 
-T2(a,b;a-1), the period term, walks a chain of its own in O(log max(a,b))
-steps with no nested walk.  At h = a-1, h' = b-1, so every state of that
-chain is a full period, where for coprime a > b
+The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
+coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
+ir(a,b;a-1)/a^2 - (a-1)/4 with ir = b*sum i^2 - a*T2.  With q_1..q_t the
+Euclid quotients of (a, b) and b* = b^-1 mod a, the Barkan-Hickerson-Knuth
+formula (Knuth, TAOCP Vol. 2, 3.3.3) and that relation give
 
-    S(a,b;a-1) = (a-1)(2a-1)/12 + (a+2)(a-1)(b-1)/4,
-    Q(b,a;b-1) = (a-1)(b-1)/2,
+    12a*s(b,a) = a*sum_i (-1)^(i+1) q_i + b + b* - a*(3 if t is odd else 1),
+    12a*T2(a,b;a-1) = 12b*sum_{i<a} i^2 - a*(12a*s(b,a)) - 3a^2(a-1).
 
-and the right-hand side above becomes (a-1)(8ab^2 - 9ab + a - b^2 + 1)/(12b).
-This chain is the reciprocity law of Dedekind sums written for T2.  Its
-reciprocity steps have no children and record no h_prime (it is b-1).
-A direct call t2(a, b, a-1) still takes the paper's chain, and so does
-t3_alt, which thereby cross-checks the full-period rule.
+The formula, stated for b < a, holds as written for b > a: the quotients
+then begin 0, b//a, which adds 2 to t and -b//a to the sum, and
+a*(-(b//a)) + b = b mod a.  A direct t2(a, b, a-1) still takes the paper's
+chain, and so does t3_alt, which thereby cross-checks the formula.
 
 T3 follows from T1 and T2, with an independent second route (t3_alt) used
 for cross-validation.
@@ -92,22 +93,25 @@ def _reciprocity(a, b, h, coef, trace):
     return c, coef * Fraction(-a, b), hp, None if trace is None else {"h_prime": hp}
 
 
-def _full_period_reciprocity(a, b, h, coef, trace):
-    # The reciprocity at h = a-1, where h' = b-1, so the next state (b, a;
-    # b-1) is again a full period.  The right-hand side is one rational (see
-    # the module docstring); it and the new coefficient are each built as
-    # one Fraction.
-    p, q = coef.numerator, coef.denominator
-    c = Fraction(p * (a - 1) * (8 * a * b * b - 9 * a * b + a - b * b + 1), 12 * q * b)
-    return c, Fraction(-p * a, q * b), b - 1, None if trace is None else {}
+def _period_term(a, b):
+    # T2(a,b;a-1) for coprime a >= 2, b >= 1 (see the module docstring).
+    x, y = a, b
+    alternating, t = 0, 0
+    while y:
+        q, r = divmod(x, y)
+        alternating += -q if t % 2 else q
+        t += 1
+        x, y = y, r
+    twelve_a_s = a * alternating + b + pow(b, -1, a) - a * (3 if t % 2 else 1)
+    value = Fraction(12 * b * sum_squares(a - 1) - a * twelve_a_s - 3 * a * a * (a - 1), 12 * a)
+    return exact_int(value, "T2", a, b, a - 1)
 
 
 def _period(a, b, q_blocks, m, trace):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
-    # the tail h mod a recurses.  T2(a,b;a-1) walks the full-period chain,
-    # whose h = a-1 never reaches the period rule.
-    t2_a = walk(a, b, a - 1, trace, _division, _full_period_reciprocity, None, _unit) + a * b
+    # the tail h mod a recurses.
+    t2_a = _period_term(a, b) + a * b
     fm = _floor_walk(a, b, m, trace)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)

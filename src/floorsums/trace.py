@@ -7,7 +7,7 @@ summing the contributions replays the computation exactly.  A step whose rule
 ran walks of its own (the T2 chain's reciprocity and period rules do) keeps
 their steps as its ``children``, so a trace is a tree: the children of a T2
 reciprocity step replay to Q(b,a;h') + S(a,b;h), those of a T2 period step to
-T2(a,b;a-1) + Q(a,b;m).  Only ``walk`` builds steps.
+Q(a,b;m).  Only ``walk`` builds steps.
 """
 
 from dataclasses import dataclass, field

@@ -278,6 +278,15 @@ class TestVerify:
         assert code == 2
         assert "divides by zero" in err
 
+    def test_long_bad_h_grid_token_is_named_in_one_short_line(self, capsys):
+        # A literal past Python's digit limit (a syntax error for ast) and a
+        # sum nested past the recursion limit are both named by their length.
+        for token in ("7" * 4400, "+".join(["1"] * 2000)):
+            code, out, err = run(capsys, "verify", "--max", "5", "--h-grid", token)
+            assert (code, out) == (2, "")
+            assert len(err.encode()) < 200 and err.count("\n") == 1, err[:200]
+            assert str(len(token)) in err
+
     def test_max_below_2_exits_2(self, capsys):
         for bound in ("-5", "0", "1"):
             code, out, _ = run(capsys, "verify", "--max", bound)
@@ -454,3 +463,10 @@ class TestBench:
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "bench", "--bits", "nope")[0] == 2
         assert run(capsys, "bench", "--bits", "8", "--reps", "0")[0] == 2
+
+    def test_long_bad_bits_entry_is_named_in_one_short_line(self, capsys):
+        for bits in ("7" * 4400, "8," + "x" * 4400):
+            code, out, err = run(capsys, "bench", "--bits", bits)
+            assert (code, out) == (2, "")
+            assert len(err.encode()) < 200 and err.count("\n") == 1, err[:200]
+            assert "4400" in err

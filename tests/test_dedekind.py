@@ -9,8 +9,11 @@ Sums*; Knuth, TAOCP Vol. 2, 3.3.3)
 
 is derived from neither the S nor the T2 recursion, so it checks t2 at sizes
 the oracle cannot reach.  Up to 512 bits the law checks the paper's chain,
-t2(a, b, a-1); from 1024 to 4096 bits it checks the full-period chain that
-t2(a, b, a) - ab = T2(a, b; a-1) takes through the period reduction.
+t2(a, b, a-1).  From 1024 to 4096 bits it checks the period route:
+t2(a, b, a) - ab = T2(a, b; a-1), which the period reduction takes from the
+Barkan-Hickerson-Knuth formula for s(b, a) (see ``cross_sum``), not from a
+chain.  The two routes are also compared with each other, and the period
+route with brute force.
 """
 
 import math
@@ -46,7 +49,7 @@ def dedekind(b: int, a: int) -> Fraction:
 
 
 def dedekind_by_period(b: int, a: int) -> Fraction:
-    """s(b, a) from the full-period chain: T2(a, b; a) - ab = T2(a, b; a-1)."""
+    """s(b, a) from the period route: T2(a, b; a) - ab = T2(a, b; a-1)."""
     return dedekind_from_t2(b, a, t2(a, b, a) - a * b)
 
 
@@ -55,6 +58,32 @@ def test_matches_brute_force():
         for b in range(1, 40):
             if math.gcd(a, b) == 1:
                 assert dedekind(b, a) == brute_dedekind(b, a), (a, b)
+
+
+def test_period_route_matches_brute_force():
+    for a in range(2, 40):
+        for b in range(1, 40):
+            if math.gcd(a, b) == 1:
+                assert dedekind_by_period(b, a) == brute_dedekind(b, a), (a, b)
+
+
+def test_period_route_equals_the_paper_chain():
+    # b < a and a < b < 2a: the period rule runs before the division step
+    # that the paper's chain takes first, so it meets b > a unreduced.
+    for a in range(2, 80):
+        for b in [*range(1, a), *range(a + 1, 2 * a)]:
+            if math.gcd(a, b) == 1:
+                assert t2(a, b, a) - a * b == t2(a, b, a - 1), (a, b)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_period_route_equals_the_paper_chain_above_the_oracle(bits):
+    rng = random.Random(bits)
+    a = b = 0
+    while math.gcd(a, b) != 1:
+        a = rng.getrandbits(bits) | (1 << (bits - 1))
+        b = rng.randrange(1, 2 * a)
+    assert t2(a, b, a) - a * b == t2(a, b, a - 1), (a, b)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])

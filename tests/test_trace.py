@@ -14,7 +14,6 @@ from fractions import Fraction as F
 import pytest
 
 from floorsums import Instance, Trace, floor_sum, s_value, t1, t2
-from floorsums.trace import euclid_steps
 
 FLOOR_SUM_7_3_23 = [
     ("period-reduction", 7, 3, 23, {"Q": 3, "m": 2}, F(108)),
@@ -110,7 +109,9 @@ def test_t2_reciprocity_children_replay_to_q_and_s():
     assert seen > 100
 
 
-def test_t2_period_children_replay_to_t2_and_q():
+def test_t2_period_children_replay_to_q():
+    # The period term T2(a,b;a-1) is a closed formula, so a period step's
+    # only nested walk is the floor sum Q(a,b;m).
     seen = 0
     for a, b, h in GRID:
         trace = Trace()
@@ -118,9 +119,10 @@ def test_t2_period_children_replay_to_t2_and_q():
         for step in trace.steps:
             if step.rule == "period-reduction":
                 m = step.derived["m"]
-                expected = t2(step.a, step.b, step.a - 1) + floor_sum(Instance(step.a, step.b, m))
+                q_walk = Trace()
+                expected = floor_sum(Instance(step.a, step.b, m), q_walk)
                 assert Trace(step.children).replay() == expected, (a, b, h, step)
-                assert step.children, (a, b, h)
+                assert steps(Trace(step.children)) == steps(q_walk), (a, b, h, step)
                 seen += 1
     assert seen > 100
 
@@ -174,8 +176,9 @@ def test_t2_total_steps_frozen():
 @pytest.mark.parametrize("bits", [64, 512, 4096])
 def test_t2_period_term_takes_logarithmic_steps(bits):
     # T2(a,b;a) = T2(a,b;a-1) + ab comes from the period reduction, whose
-    # T2(a,b;a-1) walks the full-period chain: O(log) steps, none of them
-    # with nested walks, where the paper's chain takes O(log^2).
+    # T2(a,b;a-1) is a closed formula: at any size the trace is the period
+    # step, its one child (the base step of Q(a,b;0)) and the base step of
+    # the empty tail, where the paper's chain takes O(log^2) steps.
     rng = random.Random(bits)
     a = b = 0
     while math.gcd(a, b) != 1:
@@ -183,7 +186,7 @@ def test_t2_period_term_takes_logarithmic_steps(bits):
         b = rng.randrange(2, a)
     trace = Trace()
     assert t2(a, b, a, trace) == trace.replay()
-    assert trace.total_steps() <= 2 * euclid_steps(a, b) + 2, bits
+    assert trace.total_steps() == 3, bits
     period = trace.steps[0]
     assert period.rule == "period-reduction"
-    assert period.children and all(step.children == [] for step in period.children)
+    assert [step.rule for step in period.children] == ["base"]
