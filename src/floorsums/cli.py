@@ -32,6 +32,10 @@ _BENCH_COLUMNS = ("bits", "rep", "seed", "target", "steps", "nanos")
 # verify's cost of one full_report, in oracle iterations: one full_report at
 # h = 0 took 48-63 us and one oracle iteration 0.48-0.60 us.
 _REPORT_WORK = 100
+# bench's limit on its work, reps times the sum of bits^3: a traced t2 takes
+# about 3 s at 512 bits and grows as bits^3, so this admits one 1024-bit
+# instance (about 23 s) as well as the default 32,64,128 with 3 reps.
+_BENCH_MAX_WORK = 1024**3
 
 
 def _decimal(n: int) -> str:
@@ -298,6 +302,10 @@ def cmd_bench(args) -> int:
         raise InvalidArgumentError(f"bad --bits entry: {exc}") from None
     if args.reps < 1 or any(bits < 2 for bits in bit_sizes):
         raise InvalidArgumentError("--reps must be >= 1 and all --bits >= 2")
+    if args.reps * sum(bits**3 for bits in bit_sizes) > _BENCH_MAX_WORK:
+        raise InvalidArgumentError(
+            f"bench's work (reps times the sum of bits^3) passes its limit of {_BENCH_MAX_WORK}"
+        )
 
     rng = random.Random(args.seed)
     rows = []

@@ -20,11 +20,15 @@ for h >= a a block decomposition adds the h // a full periods in closed
 form, from T2(a,b;a-1) and one floor sum.  These rules return their
 contribution times the coefficient the walk carries (-a/b at every swap),
 and ``trace.walk`` drives them.  On the paper's chain one S walk and one
-floor-sum walk run, unchecked, at every level (no memo), which is what
-makes the work of the tail h mod a O((log max(a,b))^2).  The reciprocity
-and period rules hand the trace that ``walk`` gives them to those nested
-walks, so a traced T2 step keeps their steps as its children; no rule
-builds a trace.
+floor-sum walk run, unchecked, at every level.  A traced call walks each
+of them in full, so its transcript keeps the paper's O((log max(a,b))^2)
+steps: the reciprocity and period rules hand the trace that ``walk`` gives
+them to those nested walks, and a traced T2 step keeps their steps as its
+children; no rule builds a trace.  An untraced call keeps one walk memo
+for S and one for Q (the same state means a different sum in each), and
+drops both when it returns.  The nested walks go down the same Euclidean
+pairs, so a walk that starts at a state an earlier walk of the call passed
+returns its value at once; the values, not the steps, are the paper's.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -46,6 +50,7 @@ for cross-validation.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from .errors import InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
@@ -57,11 +62,13 @@ from .square_sum import _walk as _s_walk
 from .trace import walk
 
 
-def _rhs(a, b, h, trace):
+def _rhs(a, b, h, trace, memos=(None, None)):
     # The T2 right-hand side, unchecked: coprime a > b >= 1, 0 <= h < a.
+    # memos is the (S, Q) pair of walk memos that one untraced call keeps.
+    s_memo, q_memo = memos
     hp = b * h // a
-    qv = _floor_walk(b, a, hp, trace)
-    s = _s_walk(a, b, h, trace)
+    qv = _floor_walk(b, a, hp, trace, q_memo)
+    s = _s_walk(a, b, h, trace, s_memo)
     return (
         (a * h * hp * hp + (a + 2) * h * hp - 2 * qv - 2 * s) / (2 * b)
         + Fraction(b * h * (h + 1) * (2 * h + 1), 12 * a)
@@ -87,9 +94,9 @@ def _unit(a, h, coef):
     return 0
 
 
-def _reciprocity(a, b, h, coef, trace):
+def _reciprocity(a, b, h, coef, trace, memos):
     hp = b * h // a
-    c = coef * _rhs(a, b, h, trace)
+    c = coef * _rhs(a, b, h, trace, memos)
     return c, coef * Fraction(-a, b), hp, None if trace is None else {"h_prime": hp}
 
 
@@ -107,12 +114,12 @@ def _period_term(a, b):
     return exact_int(value, "T2", a, b, a - 1)
 
 
-def _period(a, b, q_blocks, m, trace):
+def _period(a, b, q_blocks, m, trace, memos):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
     # the tail h mod a recurses.
     t2_a = _period_term(a, b) + a * b
-    fm = _floor_walk(a, b, m, trace)
+    fm = _floor_walk(a, b, m, trace, memos[1])
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)
     return (
@@ -127,7 +134,11 @@ def _period(a, b, q_blocks, m, trace):
 
 
 def _walk(a, b, h, trace):
-    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit)
+    # Untraced, the nested S and Q walks of this one call share a memo each;
+    # a traced call keeps every nested step as a child, so it takes none.
+    memos = (None, None) if trace is not None else ({}, {})
+    return walk(a, b, h, trace, _division, partial(_reciprocity, memos=memos),
+                partial(_period, memos=memos), _unit)
 
 
 def t2(a: int, b: int, h: int, trace=None) -> int:

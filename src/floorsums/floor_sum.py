@@ -43,8 +43,8 @@ def _reciprocity(a, b, h, sign, trace):
     return sign * h * k, -sign, k, None if trace is None else {"K": k}
 
 
-def _walk(a, b, h, trace=None):
-    return walk(a, b, h, trace, _division, _reciprocity, _period)
+def _walk(a, b, h, trace=None, memo=None):
+    return walk(a, b, h, trace, _division, _reciprocity, _period, memo=memo)
 
 
 def floor_sum(inst: Instance, trace=None) -> int:

@@ -149,8 +149,8 @@ def _period(a, b, q_blocks, m, trace):
     )
 
 
-def _walk(a, b, h, trace):
-    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit, Fraction(0))
+def _walk(a, b, h, trace, memo=None):
+    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit, Fraction(0), memo)
 
 
 def s_value(a: int, b: int, h: int, trace=None) -> Fraction:

@@ -59,7 +59,7 @@ def euclid_steps(a: int, b: int) -> int:
     return n
 
 
-def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
+def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=None):
     """f(a, b; h) for coprime (a, b), walked down the Euclidean chain of
     (a, b); every step is recorded in ``trace`` if one is given.
 
@@ -81,7 +81,18 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
     the walks they run, and its steps become the children of their step;
     untraced, they get None.  ``zero`` is the empty sum; it fixes the type of
     the result.
+
+    ``memo``, a dict that one caller keeps for one family of walks whose
+    coefficient stays +-1, maps a state (a, b, h) to f(a, b; h).  A walk
+    whose start state is in it returns at once; any other walk runs to the
+    end and then stores each state at which it took a step after the period
+    rule, as (final total, partial sum before the state, coefficient there):
+    f at that state is (total - partial) * coefficient, computed on a hit.
     """
+    if memo is not None and (a, b, h) in memo:
+        final, partial, sign = memo[a, b, h]
+        return (final - partial) * sign
+    passed = None if memo is None else []
     total = zero
     if h >= a >= 2 and b >= 1:
         q_blocks, m = divmod(h, a)
@@ -93,11 +104,14 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
         h = m
     coef = 1
     while h and b:
+        if passed is not None:
+            passed.append(((a, b, h), total, coef))
         if a == 1 or (b == 1 and unit is not None):
             c = division(1, b, h, coef) if a == 1 else unit(a, h, coef)
             if trace is not None:
                 trace.record(RULE_BASE, a, b, h, {}, c, [])
-            return total + c
+            total += c
+            break
         if b >= a:
             q, r = divmod(b, a)
             c = division(a, q, h, coef)
@@ -111,6 +125,10 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
                 trace.record(RULE_RECIPROCITY, a, b, h, derived, c, children.steps)
             a, b, h = b, a, h_next
         total += c
-    if trace is not None:
-        trace.record(RULE_BASE, a, b, h, {}, 0, [])
+    else:
+        if trace is not None:
+            trace.record(RULE_BASE, a, b, h, {}, 0, [])
+    if passed:
+        for state, partial, sign in passed:
+            memo[state] = (total, partial, sign)
     return total

@@ -470,3 +470,24 @@ class TestBench:
             assert (code, out) == (2, "")
             assert len(err.encode()) < 200 and err.count("\n") == 1, err[:200]
             assert "4400" in err
+
+    def test_huge_bits_exit_2_before_timing(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bench", "--bits", "100000", "--reps", "1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "work" in err
+
+    def test_work_limit_admits_the_default_and_one_1024_bit_instance(self):
+        assert 3 * (32**3 + 64**3 + 128**3) <= cli._BENCH_MAX_WORK
+        assert 1024**3 <= cli._BENCH_MAX_WORK
+
+    def test_work_limit_is_inclusive(self, capsys, monkeypatch):
+        # --bits 8,16 --reps 2 costs 2 * (8^3 + 16^3) = 9216.
+        argv = ("bench", "--bits", "8,16", "--reps", "2", "--seed", "1")
+        monkeypatch.setattr(cli, "_BENCH_MAX_WORK", 9216)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "_BENCH_MAX_WORK", 9215)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "9215" in err

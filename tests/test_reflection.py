@@ -43,7 +43,7 @@ def test_remainder_square_sum_reflection(bits):
     assert r2_reflected == expected, (a, b, h)
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
 def test_t2_reflection(bits):
     a, b, h = coprime_pair(bits)
     t2_period = t2(a, b, a) - a * b
