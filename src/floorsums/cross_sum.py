@@ -25,10 +25,11 @@ of them in full, so its transcript keeps the paper's O((log max(a,b))^2)
 steps: the reciprocity and period rules hand the trace that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children; no rule builds a trace.  An untraced call keeps one walk memo
-for S and one for Q (the same state means a different sum in each), and
-drops both when it returns.  The nested walks go down the same Euclidean
-pairs, so a walk that starts at a state an earlier walk of the call passed
-returns its value at once; the values, not the steps, are the paper's.
+for the S and Q walks of its reciprocity steps, keyed by chain and state,
+and drops it when it returns.  Those walks go down the same Euclidean
+pairs, so a walk that reaches a state an earlier walk of the call passed
+takes the rest of its value from the memo and stops; the values, not the
+steps, are the paper's.  The period rule's single Q walk takes no memo.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -62,13 +63,12 @@ from .square_sum import _walk as _s_walk
 from .trace import walk
 
 
-def _rhs(a, b, h, trace, memos=(None, None)):
+def _rhs(a, b, h, trace, memo=None):
     # The T2 right-hand side, unchecked: coprime a > b >= 1, 0 <= h < a.
-    # memos is the (S, Q) pair of walk memos that one untraced call keeps.
-    s_memo, q_memo = memos
+    # memo is the walk memo that one untraced call keeps.
     hp = b * h // a
-    qv = _floor_walk(b, a, hp, trace, q_memo)
-    s = _s_walk(a, b, h, trace, s_memo)
+    qv = _floor_walk(b, a, hp, trace, memo)
+    s = _s_walk(a, b, h, trace, memo)
     return (
         (a * h * hp * hp + (a + 2) * h * hp - 2 * qv - 2 * s) / (2 * b)
         + Fraction(b * h * (h + 1) * (2 * h + 1), 12 * a)
@@ -94,9 +94,9 @@ def _unit(a, h, coef):
     return 0
 
 
-def _reciprocity(a, b, h, coef, trace, memos):
+def _reciprocity(a, b, h, coef, trace, memo):
     hp = b * h // a
-    c = coef * _rhs(a, b, h, trace, memos)
+    c = coef * _rhs(a, b, h, trace, memo)
     return c, coef * Fraction(-a, b), hp, None if trace is None else {"h_prime": hp}
 
 
@@ -114,12 +114,12 @@ def _period_term(a, b):
     return exact_int(value, "T2", a, b, a - 1)
 
 
-def _period(a, b, q_blocks, m, trace, memos):
+def _period(a, b, q_blocks, m, trace):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
     # the tail h mod a recurses.
     t2_a = _period_term(a, b) + a * b
-    fm = _floor_walk(a, b, m, trace, memos[1])
+    fm = _floor_walk(a, b, m, trace)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)
     return (
@@ -134,11 +134,11 @@ def _period(a, b, q_blocks, m, trace, memos):
 
 
 def _walk(a, b, h, trace):
-    # Untraced, the nested S and Q walks of this one call share a memo each;
-    # a traced call keeps every nested step as a child, so it takes none.
-    memos = (None, None) if trace is not None else ({}, {})
-    return walk(a, b, h, trace, _division, partial(_reciprocity, memos=memos),
-                partial(_period, memos=memos), _unit)
+    # Untraced, the nested S and Q walks of the reciprocity steps of this one
+    # call share one memo; a traced call keeps every nested step as a child,
+    # so it takes none.
+    memo = None if trace is not None else {}
+    return walk(a, b, h, trace, _division, partial(_reciprocity, memo=memo), _period, _unit)
 
 
 def t2(a: int, b: int, h: int, trace=None) -> int:

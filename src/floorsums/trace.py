@@ -82,16 +82,16 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=
     untraced, they get None.  ``zero`` is the empty sum; it fixes the type of
     the result.
 
-    ``memo``, a dict that one caller keeps for one family of walks whose
-    coefficient stays +-1, maps a state (a, b, h) to f(a, b; h).  A walk
-    whose start state is in it returns at once; any other walk runs to the
-    end and then stores each state at which it took a step after the period
-    rule, as (final total, partial sum before the state, coefficient there):
-    f at that state is (total - partial) * coefficient, computed on a hit.
+    ``memo`` is a dict that one caller keeps for walks whose coefficient
+    stays +-1.  Its key is (division, a, b, h): the division rule names the
+    chain, so walks of different sums share it without colliding.  Before
+    each step after the period rule the walk looks its state up.  On a hit
+    it adds coefficient * sign * (final - partial) and stops; otherwise it
+    notes the state, and when it ends it stores every noted state as (final
+    total, partial sum before the state, coefficient there), so that f at
+    that state is sign * (final - partial).  A hit skips the base row that a
+    traced walk records, so a walk that takes a memo must take no trace.
     """
-    if memo is not None and (a, b, h) in memo:
-        final, partial, sign = memo[a, b, h]
-        return (final - partial) * sign
     passed = None if memo is None else []
     total = zero
     if h >= a >= 2 and b >= 1:
@@ -104,8 +104,13 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=
         h = m
     coef = 1
     while h and b:
-        if passed is not None:
-            passed.append(((a, b, h), total, coef))
+        if memo is not None:
+            key = (division, a, b, h)
+            if key in memo:
+                final, partial, sign = memo[key]
+                total += coef * sign * (final - partial)
+                break
+            passed.append((key, total, coef))
         if a == 1 or (b == 1 and unit is not None):
             c = division(1, b, h, coef) if a == 1 else unit(a, h, coef)
             if trace is not None:
@@ -129,6 +134,6 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=
         if trace is not None:
             trace.record(RULE_BASE, a, b, h, {}, 0, [])
     if passed:
-        for state, partial, sign in passed:
-            memo[state] = (total, partial, sign)
+        for key, partial, sign in passed:
+            memo[key] = (total, partial, sign)
     return total
