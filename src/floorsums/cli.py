@@ -22,6 +22,7 @@ from .cross_sum import _ir, _qr, _t3, full_report, t2
 from .errors import InvalidArgumentError
 from .floor_sum import _remainder_sum, floor_sum
 from .models import Instance
+from .numeric import shown
 from .oracle import oracle_report
 from .square_sum import _r2, _t1, s_value, t1
 from .trace import Trace
@@ -68,11 +69,6 @@ def _trace_json(steps: list, target: str) -> list:
     ]
 
 
-def _shown(text: str) -> str:
-    # A bad argument in a one-line error message: quoted, or its length.
-    return repr(text) if len(text) <= 40 else f"<{len(text)} characters>"
-
-
 def _int_arg(text: str) -> int:
     """An integer argument.  A text past Python's digit limit for reading an
     int is refused with its length, not echoed back as argparse would."""
@@ -84,7 +80,7 @@ def _int_arg(text: str) -> int:
             raise argparse.ArgumentTypeError(
                 f"{len(text)} characters; an int may have at most {limit} digits"
             ) from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 def _eval_h_token(token: str, a: int) -> int:
@@ -92,7 +88,7 @@ def _eval_h_token(token: str, a: int) -> int:
     try:
         node = ast.parse(token.strip(), mode="eval").body
     except SyntaxError:
-        raise InvalidArgumentError(f"bad h-grid token: {_shown(token)}") from None
+        raise InvalidArgumentError(f"bad h-grid token: {shown(token)}") from None
 
     def ev(n):
         if isinstance(n, ast.Constant) and isinstance(n.value, int):
@@ -111,14 +107,14 @@ def _eval_h_token(token: str, a: int) -> int:
                 return left * right
             if isinstance(n.op, (ast.Div, ast.FloorDiv)):
                 if right == 0:
-                    raise InvalidArgumentError(f"h-grid token divides by zero: {_shown(token)}")
+                    raise InvalidArgumentError(f"h-grid token divides by zero: {shown(token)}")
                 return left // right
-        raise InvalidArgumentError(f"bad h-grid token: {_shown(token)}")
+        raise InvalidArgumentError(f"bad h-grid token: {shown(token)}")
 
     try:
         return max(ev(node), 0)
     except RecursionError:
-        raise InvalidArgumentError(f"h-grid token nested too deeply: {_shown(token)}") from None
+        raise InvalidArgumentError(f"h-grid token nested too deeply: {shown(token)}") from None
 
 
 def cmd_compute(args) -> int:
@@ -129,7 +125,7 @@ def cmd_compute(args) -> int:
     targets = TARGETS if args.targets is None else tuple(args.targets.split(","))
     for target in targets:
         if target not in TARGETS:
-            raise InvalidArgumentError(f"unknown target {target!r}")
+            raise InvalidArgumentError(f"unknown target {shown(target)}")
     wanted = set(targets)
 
     trace_rows = []
@@ -231,7 +227,7 @@ def cmd_verify(args) -> int:
     if not single and args.max is None:
         raise InvalidArgumentError("verify needs --a/--b/--h or --max")
     if args.max is not None and args.max < 2:
-        raise InvalidArgumentError(f"--max must be >= 2, got {args.max}")
+        raise InvalidArgumentError(f"--max must be >= 2, got {shown(args.max)}")
 
     grid = DEFAULT_H_GRID if args.h_grid is None else tuple(args.h_grid.split(","))
 

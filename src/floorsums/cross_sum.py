@@ -49,7 +49,6 @@ T3 follows from T1 and T2, with an independent second route (t3_alt) used
 for cross-validation.
 """
 
-import math
 from fractions import Fraction
 from functools import partial
 
@@ -57,7 +56,7 @@ from .errors import InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, SumReport
-from .numeric import exact_int, require_ints, sum_squares
+from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
 from .square_sum import _canonical, _r2, s_value, t1
 from .square_sum import _walk as _s_walk
 from .trace import walk
@@ -77,11 +76,10 @@ def _rhs(a, b, h, trace, memo=None):
 
 def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
     """Right-hand side of the T2 reciprocity for coprime a > b >= 1, 0 <= h < a."""
-    require_ints(a, b, h)
-    if not (a > b >= 1 and 0 <= h < a):
-        raise InvalidArgumentError(f"need a > b >= 1 and 0 <= h < a, got ({a}, {b}, {h})")
-    if math.gcd(a, b) != 1:
-        raise InvalidArgumentError(f"a and b must be coprime, got ({a}, {b})")
+    require_coprime(a, b)
+    require_ints(h)
+    if not (a > b and 0 <= h < a):
+        raise InvalidArgumentError(f"need a > b and 0 <= h < a, got {shown((a, b, h))}")
     return _rhs(a, b, h, trace)
 
 
@@ -189,7 +187,7 @@ def t3_alt(a: int, b: int, h: int) -> int:
     """
     a, b, h = _canonical(a, b, h)
     if not a > b >= 1:
-        raise InvalidArgumentError(f"t3_alt needs a > b >= 1, got ({a}, {b})")
+        raise InvalidArgumentError(f"t3_alt needs a > b >= 1, got {shown((a, b))}")
     if h < a:
         return _t3_direct(a, b, h)
     q_blocks, m = divmod(h, a)

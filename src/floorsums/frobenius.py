@@ -6,10 +6,10 @@ have count (a-1)(b-1)/2 (Sylvester) and sum (a-1)(b-1)(2ab-a-b-1)/12
 ax + by + z + u = n in closed form for 0 <= n < ab.
 """
 
-import math
+from fractions import Fraction
 
-from .errors import InternalInvariantError, InvalidArgumentError, OutOfDomainError
-from .numeric import require_ints
+from .errors import InvalidArgumentError, OutOfDomainError
+from .numeric import exact_int, require_coprime, require_ints, shown
 
 # Most work of four_var_count's tail loop, in rounds times w*(1 + w//64) for w
 # 64-bit words of m (products cost more per word as m grows).  One unit took
@@ -18,27 +18,16 @@ from .numeric import require_ints
 _MAX_TAIL_WORK = 10**7
 
 
-def _check_coprime(a: int, b: int):
-    require_ints(a, b)
-    if a < 1 or b < 1:
-        raise InvalidArgumentError(f"need a, b >= 1, got ({a}, {b})")
-    if math.gcd(a, b) != 1:
-        raise InvalidArgumentError(f"a and b must be coprime, got ({a}, {b})")
-
-
 def nonrep_count(a: int, b: int) -> int:
     """Number of nonnegative integers not representable as ax + by."""
-    _check_coprime(a, b)
+    require_coprime(a, b)
     return (a - 1) * (b - 1) // 2
 
 
 def nonrep_sum(a: int, b: int) -> int:
     """Sum of the nonrepresentable numbers."""
-    _check_coprime(a, b)
-    num = (a - 1) * (b - 1) * (2 * a * b - a - b - 1)
-    if num % 12:
-        raise InternalInvariantError(f"nonrep_sum not integral for ({a}, {b})")
-    return num // 12
+    require_coprime(a, b)
+    return exact_int(Fraction((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12), "nonrep_sum", a, b)
 
 
 def _tail_correction(a: int, b: int, n: int) -> int:
@@ -60,7 +49,9 @@ def _tail_correction(a: int, b: int, n: int) -> int:
         a, b = b, a
     words = m.bit_length() // 64 + 1
     if (m // a + 1) * words * (1 + words // 64) > _MAX_TAIL_WORK:
-        raise InvalidArgumentError(f"n={n}: the tail loop passes its limit of {_MAX_TAIL_WORK}")
+        raise InvalidArgumentError(
+            f"n={shown(n)}: the tail loop passes its limit of {_MAX_TAIL_WORK}"
+        )
     total = 0
     for x in range(m // a + 1):
         c = m - a * x
@@ -77,11 +68,9 @@ def four_var_count(a: int, b: int, n: int) -> int:
     ab - a - b (the only regime the reciprocity machinery uses); below it an
     exact correction term is added.
     """
-    _check_coprime(a, b)
+    require_coprime(a, b)
     require_ints(n)
     if not 0 <= n < a * b:
-        raise OutOfDomainError(f"need 0 <= n < a*b, got n={n}, a*b={a * b}")
+        raise OutOfDomainError(f"need 0 <= n < a*b, got n={shown(n)}, a*b={shown(a * b)}")
     num = 6 * (n + 1) * (n + 2) + (a - 1) * (b - 1) * (2 * a * b - a - b - 6 * n - 7)
-    if num % 12:
-        raise InternalInvariantError(f"four_var_count not integral for ({a}, {b}, {n})")
-    return num // 12 - _tail_correction(a, b, n)
+    return exact_int(Fraction(num, 12), "four_var_count", a, b, n) - _tail_correction(a, b, n)

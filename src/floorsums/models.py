@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .numeric import require_ints
+from .numeric import require_ints, shown
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,10 @@ class Instance:
 
     def __post_init__(self):
         require_ints(self.a, self.b, self.h)
-        if self.a < 1:
-            raise InvalidArgumentError(f"a must be >= 1, got {self.a}")
-        if self.b < 0:
-            raise InvalidArgumentError(f"b must be >= 0, got {self.b}")
-        if self.h < 0:
-            raise InvalidArgumentError(f"h must be >= 0, got {self.h}")
+        if self.a < 1 or self.b < 0 or self.h < 0:
+            raise InvalidArgumentError(
+                f"need a >= 1, b >= 0, h >= 0, got {shown((self.a, self.b, self.h))}"
+            )
 
     def canonical(self) -> tuple["Instance", bool]:
         """Return (equivalent coprime instance, whether scaling was applied)."""

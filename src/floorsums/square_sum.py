@@ -42,7 +42,6 @@ So one divmod gives n0 and n1, and a step costs one integer polynomial
 plus that division.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +49,7 @@ from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _period as _floor_period
 from .floor_sum import _walk as _floor_walk
 from .models import Instance
-from .numeric import exact_int, require_ints
+from .numeric import exact_int, require_coprime, require_ints, shown
 from .trace import walk
 
 
@@ -95,7 +94,7 @@ def _terms(a, b, h):
     )
     eta2_2ab, rem = divmod(eta2_12ab, 6)
     if rem:
-        raise InternalInvariantError(f"eta2 is not in Z/(2ab) for ({a}, {b}, {h})")
+        raise InternalInvariantError(f"eta2 is not in Z/(2ab) for {shown((a, b, h))}")
     return n0, n, n1, big_h, eta2_2ab
 
 
@@ -104,17 +103,15 @@ def reciprocity_terms(a: int, b: int, h: int) -> ReciprocityTerms:
 
     Requires a >= 2, b >= 1, gcd(a, b) = 1, h >= 0.
     """
-    require_ints(a, b, h)
-    if a < 2 or b < 1 or h < 0:
-        raise InvalidArgumentError(f"need a >= 2, b >= 1, h >= 0, got ({a}, {b}, {h})")
-    if math.gcd(a, b) != 1:
-        raise InvalidArgumentError(f"a and b must be coprime, got ({a}, {b})")
+    require_coprime(a, b)
+    require_ints(h)
+    if a < 2 or h < 0:
+        raise InvalidArgumentError(f"need a >= 2, h >= 0, got {shown((a, b, h))}")
     n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
     ab = a * b
     alpha = ab * (a + b - 2) // 2
     beta3 = 3 * ab * (a - 1) * (b - 1) // 2 + ab * ((a - 1) * (a - 2) + (b - 1) * (b - 2))
-    if beta3 % 3:
-        raise InternalInvariantError("beta is not integral")
+    beta = exact_int(Fraction(beta3, 3), "beta", a, b)
     gamma = Fraction(a * a + 3 * ab - 3 * a + b * b - 3 * b + 1, 12 * ab)
     eta2 = Fraction(eta2_2ab, 2 * ab)
     eta1 = (
@@ -122,7 +119,7 @@ def reciprocity_terms(a: int, b: int, h: int) -> ReciprocityTerms:
         + Fraction((a - 1) * (b - 1) * (2 * ab - a - b - 6 * n - 7), 12)
         - eta2
     )
-    return ReciprocityTerms(n0, n, n1, big_h, alpha, beta3 // 3, gamma, eta1, eta2)
+    return ReciprocityTerms(n0, n, n1, big_h, alpha, beta, gamma, eta1, eta2)
 
 
 def _division(a, q, h, sign):

@@ -491,3 +491,27 @@ class TestBench:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "9215" in err
+
+
+# Every argument is within Python's digit limit, but each error names a
+# value of thousands of digits; the last one's a*b has 8,001, past the limit
+# for str() itself.
+LONG_VALUE_ARGVS = {
+    "compute-a": ("compute", "--a", "-1" + "0" * 4299, "--b", "1", "--h", "1"),
+    "compute-targets": ("compute", "--a", "5", "--b", "3", "--h", "4", "--targets", "x" * 5000),
+    "verify-max": ("verify", "--max", "-1" + "0" * 4299),
+    "frobenius-non-coprime": ("frobenius", "--a", "1" + "0" * 4000, "--b", "2" + "0" * 4000),
+    "frobenius-tail-limit": ("frobenius", "--a", "1" + "0" * 2149 + "1", "--b", "1" + "0" * 2150,
+                             "--n", "9" + "0" * 4299),
+    "frobenius-out-of-domain": ("frobenius", "--a", "1" + "0" * 3999 + "1",
+                                "--b", "1" + "0" * 3999 + "3", "--n", "-1"),
+}
+
+
+@pytest.mark.parametrize("argv", LONG_VALUE_ARGVS.values(), ids=LONG_VALUE_ARGVS.keys())
+def test_long_value_is_named_in_one_short_line(capsys, argv):
+    if int_max_str_digits() is None:
+        pytest.skip("this interpreter has no int <-> str digit limit")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200 and err.count("\n") == 1, err[:200]

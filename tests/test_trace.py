@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from floorsums import Instance, Trace, floor_sum, s_value, t1, t2
+from floorsums import Instance, Trace, floor_sum, s_value, t1, t2, t2_reciprocity_rhs
 
 FLOOR_SUM_7_3_23 = [
     ("period-reduction", 7, 3, 23, {"Q": 3, "m": 2}, F(108)),
@@ -106,6 +106,22 @@ def test_t2_reciprocity_children_replay_to_q_and_s():
                 expected = floor_sum(Instance(step.b, step.a, hp)) + s_value(step.a, step.b, step.h)
                 assert Trace(step.children).replay() == expected, (a, b, h, step)
                 seen += 1
+    assert seen > 100
+
+
+def test_t2_reciprocity_rhs_trace_holds_the_q_then_the_s_walk():
+    # The right-hand side's sink gets the Q(b,a;h') walk, then S(a,b;h).
+    seen = 0
+    for a, b, h in GRID:
+        if not (a > b >= 1 and h < a and math.gcd(a, b) == 1):
+            continue
+        hp = b * h // a
+        trace, q_walk, s_walk = Trace(), Trace(), Trace()
+        t2_reciprocity_rhs(a, b, h, trace)
+        expected = floor_sum(Instance(b, a, hp), q_walk) + s_value(a, b, h, s_walk)
+        assert trace.replay() == expected, (a, b, h)
+        assert steps(trace) == steps(q_walk) + steps(s_walk), (a, b, h)
+        seen += 1
     assert seen > 100
 
 
