@@ -8,8 +8,9 @@ a > b,
           - (a/(2b))*T1(a,b;h) + b*h(h+1)(2h+1)/(12a).
 
 The definition of S gives T1 = (2S(a,b;h) - (a+2)Q(a,b;h))/a, and the
-floor-sum reciprocity gives Q(a,b;h) = h*h' - Q(b,a;h'), so ``_rhs``
-computes the right-hand side from one S walk and one floor-sum walk as
+floor-sum reciprocity gives Q(a,b;h) = h*h' - Q(b,a;h'), so the
+reciprocity rule computes the right-hand side from one floor-sum walk and
+one S walk as
 
     (a*h*h'^2 + (a+2)*h*h' - 2Q(b,a;h') - 2S(a,b;h)) / (2b)
         + b*h(h+1)(2h+1)/(12a).
@@ -22,14 +23,15 @@ contribution times the coefficient the walk carries (-a/b at every swap),
 and ``trace.walk`` drives them.  On the paper's chain one S walk and one
 floor-sum walk run, unchecked, at every level.  A traced call walks each
 of them in full, so its transcript keeps the paper's O((log max(a,b))^2)
-steps: the reciprocity and period rules hand the trace that ``walk`` gives
+steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
-children; no rule builds a trace.  An untraced call keeps one walk memo
-for the S and Q walks of its reciprocity steps, keyed by chain and state,
-and drops it when it returns.  Those walks go down the same Euclidean
-pairs, so a walk that reaches a state an earlier walk of the call passed
-takes the rest of its value from the memo and stops; the values, not the
-steps, are the paper's.  The period rule's single Q walk takes no memo.
+children.  Untraced, that sink is the walk memo that ``walk`` keeps for the
+one call, keyed by chain and state, so the S and Q walks of the
+reciprocity steps and the Q walk of the period step share it.  Those walks
+go down the same Euclidean pairs, so a walk that reaches a state an
+earlier walk of the call passed takes the rest of its value from the memo
+and stops; the values, not the steps, are the paper's.  No rule builds a
+trace or a memo.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -50,7 +52,6 @@ for cross-validation.
 """
 
 from fractions import Fraction
-from functools import partial
 
 from .errors import InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
@@ -62,27 +63,6 @@ from .square_sum import _walk as _s_walk
 from .trace import walk
 
 
-def _rhs(a, b, h, trace, memo=None):
-    # The T2 right-hand side, unchecked: coprime a > b >= 1, 0 <= h < a.
-    # memo is the walk memo that one untraced call keeps.
-    hp = b * h // a
-    qv = _floor_walk(b, a, hp, trace, memo)
-    s = _s_walk(a, b, h, trace, memo)
-    return (
-        (a * h * hp * hp + (a + 2) * h * hp - 2 * qv - 2 * s) / (2 * b)
-        + Fraction(b * h * (h + 1) * (2 * h + 1), 12 * a)
-    )
-
-
-def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
-    """Right-hand side of the T2 reciprocity for coprime a > b >= 1, 0 <= h < a."""
-    require_coprime(a, b)
-    require_ints(h)
-    if not (a > b and 0 <= h < a):
-        raise InvalidArgumentError(f"need a > b and 0 <= h < a, got {shown((a, b, h))}")
-    return _rhs(a, b, h, trace)
-
-
 def _division(a, q, h, coef):
     return coef * (q * sum_squares(h))
 
@@ -92,10 +72,26 @@ def _unit(a, h, coef):
     return 0
 
 
-def _reciprocity(a, b, h, coef, trace, memo):
+def _reciprocity(a, b, h, coef, sink):
+    # coef times the T2 right-hand side, unchecked: coprime a > b >= 1,
+    # 0 <= h < a.
     hp = b * h // a
-    c = coef * _rhs(a, b, h, trace, memo)
-    return c, coef * Fraction(-a, b), hp, None if trace is None else {"h_prime": hp}
+    qv = _floor_walk(b, a, hp, sink)
+    s = _s_walk(a, b, h, sink)
+    rhs = (
+        (a * h * hp * hp + (a + 2) * h * hp - 2 * qv - 2 * s) / (2 * b)
+        + Fraction(b * h * (h + 1) * (2 * h + 1), 12 * a)
+    )
+    return coef * rhs, coef * Fraction(-a, b), hp, {"h_prime": hp}
+
+
+def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
+    """Right-hand side of the T2 reciprocity for coprime a > b >= 1, 0 <= h < a."""
+    require_coprime(a, b)
+    require_ints(h)
+    if not (a > b and 0 <= h < a):
+        raise InvalidArgumentError(f"need a > b and 0 <= h < a, got {shown((a, b, h))}")
+    return _reciprocity(a, b, h, 1, trace)[0]
 
 
 def _period_term(a, b):
@@ -112,12 +108,12 @@ def _period_term(a, b):
     return exact_int(value, "T2", a, b, a - 1)
 
 
-def _period(a, b, q_blocks, m, trace):
+def _period(a, b, q_blocks, m, sink):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
     # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
     # the tail h mod a recurses.
     t2_a = _period_term(a, b) + a * b
-    fm = _floor_walk(a, b, m, trace)
+    fm = _floor_walk(a, b, m, sink)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)
     return (
@@ -131,18 +127,14 @@ def _period(a, b, q_blocks, m, trace):
     )
 
 
-def _walk(a, b, h, trace):
-    # Untraced, the nested S and Q walks of the reciprocity steps of this one
-    # call share one memo; a traced call keeps every nested step as a child,
-    # so it takes none.
-    memo = None if trace is not None else {}
-    return walk(a, b, h, trace, _division, partial(_reciprocity, memo=memo), _period, _unit)
+def _walk(a, b, h, trace=None):
+    return exact_int(walk(a, b, h, trace, _division, _reciprocity, _period, _unit), "T2", a, b, h)
 
 
 def t2(a: int, b: int, h: int, trace=None) -> int:
     """Exact T2(a,b;h) = sum_{i=1..h} i*floor(ib/a) (canonical (a,b))."""
     a, b, h = _canonical(a, b, h)
-    return exact_int(_walk(a, b, h, trace), "T2", a, b, h)
+    return _walk(a, b, h, trace)
 
 
 def _t3(a, b, h, t1_value, t2_value):
@@ -175,8 +167,7 @@ def _t3_direct(a, b, h):
     # T3 = h*h'^2 - 2*T2(b,a;h') + Q(b,a;h'); valid for coprime a > b, h < a
     # (for i <= h < a, ib/a is never an integer, which the counting needs).
     hp = b * h // a
-    t2_swapped = exact_int(_walk(b, a, hp, None), "T2", b, a, hp)
-    return h * hp * hp - 2 * t2_swapped + _floor_walk(b, a, hp)
+    return h * hp * hp - 2 * _walk(b, a, hp) + _floor_walk(b, a, hp)
 
 
 def t3_alt(a: int, b: int, h: int) -> int:

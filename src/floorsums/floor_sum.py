@@ -24,7 +24,7 @@ def _full_period(a: int, b: int) -> int:
     return (a - 1) * (b - 1) // 2 + b
 
 
-def _period(a, b, q_blocks, m, trace):
+def _period(a, b, q_blocks, m, sink):
     # i = ja + t: floor((ja+t)b/a) = jb + floor(tb/a), so the Q full periods
     # and the Q*b added to each of the m tail terms come in closed form.
     return (
@@ -38,13 +38,13 @@ def _division(a, q, h, sign):
     return sign * q * sum_first(h)
 
 
-def _reciprocity(a, b, h, sign, trace):
+def _reciprocity(a, b, h, sign, sink):
     k = b * h // a
-    return sign * h * k, -sign, k, None if trace is None else {"K": k}
+    return sign * h * k, -sign, k, {"K": k}
 
 
-def _walk(a, b, h, trace=None, memo=None):
-    return walk(a, b, h, trace, _division, _reciprocity, _period, memo=memo)
+def _walk(a, b, h, sink=None):
+    return walk(a, b, h, sink, _division, _reciprocity, _period)
 
 
 def floor_sum(inst: Instance, trace=None) -> int:

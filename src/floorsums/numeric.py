@@ -65,6 +65,7 @@ def exact_int(value, name: str, *where) -> int:
 
 def sum_first(h: int) -> int:
     """1 + 2 + ... + h = h(h+1)/2; 0 for h == 0."""
+    require_ints(h)
     if h < 0:
         raise InvalidArgumentError(f"bound must be >= 0, got {shown(h)}")
     return h * (h + 1) // 2
@@ -72,6 +73,7 @@ def sum_first(h: int) -> int:
 
 def sum_squares(h: int) -> int:
     """1^2 + 2^2 + ... + h^2 = h(h+1)(2h+1)/6; 0 for h == 0."""
+    require_ints(h)
     if h < 0:
         raise InvalidArgumentError(f"bound must be >= 0, got {shown(h)}")
     return h * (h + 1) * (2 * h + 1) // 6

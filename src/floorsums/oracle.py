@@ -9,7 +9,9 @@ inputs (h or a*b up to ORACLE_MAX_H).
 
 from fractions import Fraction
 
+from .errors import InvalidArgumentError
 from .models import Instance, SumReport
+from .numeric import require_coprime, require_ints, shown
 
 # Largest h (or a*b for the sieves) the enumerating oracles are meant for:
 # oracle_report loops h times, which takes several seconds at this size.
@@ -47,9 +49,12 @@ def oracle_report(inst: Instance) -> SumReport:
 
 
 def oracle_nonrep(a: int, b: int) -> tuple[int, int]:
-    """(count, sum) of numbers < ab not representable as ax + by, by sieve."""
-    if a == 1 or b == 1:
-        return 0, 0
+    """(count, sum) of numbers < ab not representable as ax + by, by sieve.
+
+    Requires coprime a, b >= 1; for any other pair infinitely many numbers
+    are not representable.
+    """
+    require_coprime(a, b)
     limit = a * b
     representable = bytearray(limit)
     for x in range(0, limit, a):
@@ -64,7 +69,13 @@ def oracle_nonrep(a: int, b: int) -> tuple[int, int]:
 
 
 def oracle_four_var(a: int, b: int, n: int) -> int:
-    """Solutions of ax + by + z + u = n, counting n - ax - by + 1 per (x, y)."""
+    """Solutions of ax + by + z + u = n, counting n - ax - by + 1 per (x, y).
+
+    Requires ints a, b >= 1 and n >= 0.
+    """
+    require_ints(a, b, n)
+    if a < 1 or b < 1 or n < 0:
+        raise InvalidArgumentError(f"need a, b >= 1 and n >= 0, got {shown((a, b, n))}")
     count = 0
     for x in range(n // a + 1):
         rest = n - a * x

@@ -131,23 +131,23 @@ def _unit(a, h, sign):
     return Fraction(sign * h * (h + 1) * (2 * h + 1), 12 * a)
 
 
-def _reciprocity(a, b, h, sign, trace):
+def _reciprocity(a, b, h, sign, sink):
     n0, n, n1, big_h, eta2_2ab = _terms(a, b, h)
-    derived = None if trace is None else {"n0": n0, "n": n, "n1": n1, "H": big_h}
+    derived = {"n0": n0, "n": n, "n1": n1, "H": big_h}
     return Fraction(sign * eta2_2ab, 2 * a * b), -sign, big_h, derived
 
 
-def _period(a, b, q_blocks, m, trace):
+def _period(a, b, q_blocks, m, sink):
     # T1 is periodic in h with period a (full-period value (a-1)(2a-1)/(6a)),
     # and the floor sum's Q full periods come in closed form.
     return (
         Fraction(q_blocks * (a - 1) * (2 * a - 1), 12)
-        + Fraction(a + 2, 2) * _floor_period(a, b, q_blocks, m, trace)
+        + Fraction(a + 2, 2) * _floor_period(a, b, q_blocks, m, sink)
     )
 
 
-def _walk(a, b, h, trace, memo=None):
-    return walk(a, b, h, trace, _division, _reciprocity, _period, _unit, Fraction(0), memo)
+def _walk(a, b, h, sink):
+    return walk(a, b, h, sink, _division, _reciprocity, _period, _unit, Fraction(0))
 
 
 def s_value(a: int, b: int, h: int, trace=None) -> Fraction:

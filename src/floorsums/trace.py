@@ -7,7 +7,8 @@ summing the contributions replays the computation exactly.  A step whose rule
 ran walks of its own (the T2 chain's reciprocity and period rules do) keeps
 their steps as its ``children``, so a trace is a tree: the children of a T2
 reciprocity step replay to Q(b,a;h') + S(a,b;h), those of a T2 period step to
-Q(a,b;m).  Only ``walk`` builds steps.
+Q(a,b;m).  Only ``walk`` builds steps, and only ``walk`` reads and fills
+the memo that the nested walks of one untraced call share.
 """
 
 from dataclasses import dataclass, field
@@ -59,58 +60,64 @@ def euclid_steps(a: int, b: int) -> int:
     return n
 
 
-def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=None):
+def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0):
     """f(a, b; h) for coprime (a, b), walked down the Euclidean chain of
-    (a, b); every step is recorded in ``trace`` if one is given.
+    (a, b); every step is recorded in ``sink`` if it is a ``Trace``.
 
     The rules hold all the arithmetic of f.  The walk carries a coefficient
     (1 at the start), and every rule returns its contribution already
     multiplied by it:
 
-    - ``period(a, b, Q, m, trace)``: f(a, b; Qa + m) - f(a, b; m), used once,
+    - ``period(a, b, Q, m, sink)``: f(a, b; Qa + m) - f(a, b; m), used once,
       on entry, when h >= a >= 2 and b >= 1; after it h < a or a == 1;
     - ``division(a, q, h, coef)``: coef * (f(a, b; h) - f(a, b - qa; h)),
       q = b // a; with a == 1 and q = b it is the base case;
     - ``unit(a, h, coef)``: coef * f(a, 1; h) in closed form; without it
       b == 1 takes the reciprocity step;
-    - ``reciprocity(a, b, h, coef, trace)``: for b < a, with
+    - ``reciprocity(a, b, h, coef, sink)``: for b < a, with
       f(a, b; h) = R - c * f(b, a; h'), returns (coef * R, -c * coef, h',
-      derived), derived being the dict to record (None without a trace).
+      derived), derived being the parameters a trace records.
 
-    When tracing, the period and reciprocity rules get a fresh ``Trace`` for
-    the walks they run, and its steps become the children of their step;
-    untraced, they get None.  ``zero`` is the empty sum; it fixes the type of
-    the result.
+    The period and reciprocity rules hand their ``sink`` unchanged to the
+    walks they run.  When tracing, it is a fresh ``Trace``, whose steps
+    become the children of the rule's step.  Untraced, it is the walk memo:
+    the one this walk was given, or a new dict at the top of an untraced
+    walk, so every walk nested in one call shares one memo and it lasts for
+    that call.  ``zero`` is the empty sum; it fixes the type of the result.
 
-    ``memo`` is a dict that one caller keeps for walks whose coefficient
-    stays +-1.  Its key is (division, a, b, h): the division rule names the
-    chain, so walks of different sums share it without colliding.  Before
-    each step after the period rule the walk looks its state up.  On a hit
-    it adds coefficient * sign * (final - partial) and stops; otherwise it
-    notes the state, and when it ends it stores every noted state as (final
-    total, partial sum before the state, coefficient there), so that f at
-    that state is sign * (final - partial).  A hit skips the base row that a
-    traced walk records, so a walk that takes a memo must take no trace.
+    A walk given a memo memoizes its own states.  Only the S and Q walks are
+    ever nested, and their coefficient stays +-1, which the memo needs.  Its
+    key is (division, a, b, h): the division rule names the chain, so walks
+    of different sums share it without colliding.  Before each step after
+    the period rule the walk looks its state up.  On a miss it stores the
+    state as (final, partial sum before the state, sign), sign being the
+    coefficient there and final a one-item list that takes the walk's total
+    when it ends, so that f at that state is sign * (final - partial).  On a hit it adds
+    coefficient * sign * (final - partial) and stops.  No lookup meets a
+    final not yet filled: a walk never passes a state twice, and the S and Q
+    rules run no walks.
     """
-    passed = None if memo is None else []
+    trace = sink if isinstance(sink, Trace) else None
+    memo = sink if isinstance(sink, dict) else None
+    final = []
+    sink = {} if sink is None else sink
     total = zero
     if h >= a >= 2 and b >= 1:
         q_blocks, m = divmod(h, a)
-        children = None if trace is None else Trace()
-        head = period(a, b, q_blocks, m, children)
-        total += head
+        children = sink if trace is None else Trace()
+        total = period(a, b, q_blocks, m, children)
         if trace is not None:
-            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, head, children.steps)
+            trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, total, children.steps)
         h = m
     coef = 1
     while h and b:
         if memo is not None:
             key = (division, a, b, h)
             if key in memo:
-                final, partial, sign = memo[key]
-                total += coef * sign * (final - partial)
+                cell, partial, sign = memo[key]
+                total += coef * sign * (cell[0] - partial)
                 break
-            passed.append((key, total, coef))
+            memo[key] = (final, total, coef)
         if a == 1 or (b == 1 and unit is not None):
             c = division(1, b, h, coef) if a == 1 else unit(a, h, coef)
             if trace is not None:
@@ -124,7 +131,7 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=
                 trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c, [])
             b = r
         else:
-            children = None if trace is None else Trace()
+            children = sink if trace is None else Trace()
             c, coef, h_next, derived = reciprocity(a, b, h, coef, children)
             if trace is not None:
                 trace.record(RULE_RECIPROCITY, a, b, h, derived, c, children.steps)
@@ -133,7 +140,5 @@ def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0, memo=
     else:
         if trace is not None:
             trace.record(RULE_BASE, a, b, h, {}, 0, [])
-    if passed:
-        for key, partial, sign in passed:
-            memo[key] = (total, partial, sign)
+    final.append(total)
     return total

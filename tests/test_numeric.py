@@ -26,6 +26,11 @@ class TestPolynomialSums:
         with pytest.raises(InvalidArgumentError):
             sum_squares(-1)
 
+    @pytest.mark.parametrize("fn, h", [(sum_first, "3"), (sum_first, 1.5), (sum_squares, True)])
+    def test_non_int_rejected(self, fn, h):
+        with pytest.raises(InvalidArgumentError):
+            fn(h)
+
     @given(st.integers(0, 2000))
     def test_against_loop(self, h):
         assert sum_first(h) == sum(range(1, h + 1))

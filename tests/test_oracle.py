@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from floorsums import (
     Instance,
+    InvalidArgumentError,
     oracle_four_var,
     oracle_nonrep,
     oracle_report,
@@ -52,6 +55,24 @@ def test_four_var_examples():
     assert oracle_four_var(2, 3, 5) == 16
     assert oracle_four_var(7, 9, 0) == 1
     assert oracle_four_var(2, 3, 0) == 1
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        # A non-coprime pair leaves infinitely many numbers unrepresentable.
+        (oracle_nonrep, (4, 6)),
+        (oracle_nonrep, (0, 3)),
+        (oracle_nonrep, (2.0, 3)),
+        (oracle_four_var, (0, 3, 1)),
+        (oracle_four_var, (2, 0, 1)),
+        (oracle_four_var, (2, 3, -5)),
+        (oracle_four_var, (2, 3, 5.0)),
+    ],
+)
+def test_sieves_reject_invalid_arguments(fn, args):
+    with pytest.raises(InvalidArgumentError):
+        fn(*args)
 
 
 def test_self_consistency():

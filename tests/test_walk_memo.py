@@ -7,7 +7,8 @@ equal it and its ``replay()``.  The memo must also save work: a nested walk
 stops at the first state an earlier walk passed, so the S reciprocity steps
 (one ``square_sum._terms`` evaluation each) and the floor-sum reciprocity
 steps of the whole call stay within a small multiple of the Euclid steps of
-(a, b).  It must not outlive the call.
+(a, b); for h >= a the period rule's Q walk shares the memo too.  It must
+not outlive the call.
 """
 
 import functools
@@ -24,13 +25,14 @@ from floorsums.trace import Trace, euclid_steps
 floor_sum = importlib.import_module("floorsums.floor_sum")
 
 
-def coprime_instance(bits):
+def coprime_instance(bits, past_the_period=False):
+    # h < a, or a <= h < 3a so that the period rule runs first.
     rng = random.Random(bits)
     a = b = 0
     while math.gcd(a, b) != 1:
         a = rng.getrandbits(bits) | (1 << (bits - 1))
         b = rng.randrange(1, a)
-    return a, b, rng.randrange(a)
+    return a, b, a + rng.randrange(2 * a) if past_the_period else rng.randrange(a)
 
 
 def step_calls(monkeypatch, call):
@@ -78,6 +80,25 @@ def test_untraced_t2_equals_traced_on_seeded_pairs(bits):
     value, replayed = traced_t2(a, b, h)
     assert t2(a, b, h) == value == replayed, (a, b, h)
     assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_untraced_t2_equals_traced_past_the_period(bits):
+    a, b, h = coprime_instance(bits, past_the_period=True)
+    value, replayed = traced_t2(a, b, h)
+    assert t2(a, b, h) == value == replayed, (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_period_q_walk_shares_the_memo(bits, monkeypatch):
+    # The period rule's Q(a,b;m) walk goes down the Euclid pairs of (a, b);
+    # the Q walks of the reciprocity steps then stop where it passed.
+    # Outside the memo, that walk would take the floor-sum steps to about
+    # twice the Euclid steps.
+    a, b, h = coprime_instance(bits, past_the_period=True)
+    _, _, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
+    euclid = euclid_steps(a, b)
+    assert q_steps <= euclid + 2, (q_steps, euclid)
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
