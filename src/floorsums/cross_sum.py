@@ -25,13 +25,35 @@ floor-sum walk run, unchecked, at every level.  A traced call walks each
 of them in full, so its transcript keeps the paper's O((log max(a,b))^2)
 steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
-children.  Untraced, that sink is the walk memo that ``walk`` keeps for the
-one call, keyed by chain and state, so the S and Q walks of the
-reciprocity steps and the Q walk of the period step share it.  Those walks
-go down the same Euclidean pairs, so a walk that reaches a state an
-earlier walk of the call passed takes the rest of its value from the memo
-and stops; the values, not the steps, are the paper's.  No rule builds a
-trace or a memo.
+children.  No rule builds a trace or a table.
+
+Untraced, that sink is a table that ``_table`` fills in one pass up the
+chain, keyed by (division rule, a, b, h) as ``trace.walk`` looks it up, and
+each nested walk returns its entry; the values, not the steps, are the
+paper's.  For a reciprocity state (a, b, h), coprime a > b >= 2 and
+1 <= h < a, write hbar = a-1-h, X = 2a*S(a,b;h), X' = 2b*S(b,a;h') and
+Q' = Q(b,a;h').  The S reciprocity at the reflected bound hbar swaps to
+exactly h' (``square_sum._terms(a, b, hbar)`` gives H = h'), so with E its
+integer 2ab*eta2, 2a*S(a,b;hbar) = (E - a*X')/b.  The reflection
+r_(a-i) = a - r_i over the full period gives X + 2a*S(a,b;hbar) = P - 4a*Q',
+hence
+
+    X = P - 4a*Q' + (a*X' - E)/b,      Q(a,b;h) = h*h' - Q',
+    P = (a-1)a(2a-1)/6 - a^2*hbar + ab*hbar(hbar+1) + (2a - a^2)K
+        + a(a+2)*h*h',
+    K = hbar(b-1) - (a-1)(b-1)/2 + h*h'   (= Q(a,b;hbar) + Q'),
+
+and P expands to
+
+    P = a*h*(2 + 4h' - b(a+1-h)) + a(3a^2*b - a^2 + 3ab - 6a - 6b + 7)/6.
+
+The state below, (b, a mod b, h'), gives X' and Q' through one division
+step, which adds q*b(b+2)h'(h'+1)/2 and q*h'(h'+1)/2 with q = a // b; at
+the bottom of the chain h' = 0 or a mod b = 1, where X' = h'(h'+1)(2h'+1)/6
+and Q' = 0.  So the pass makes one ``_terms`` call per level, checks that
+each division by b is exact, and stores S = X/(2a), the value an S walk
+returns, and Q'.  The period rule's Q(a,b;m) is the top state's Q after
+its division step.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -53,7 +75,9 @@ for cross-validation.
 
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from . import floor_sum as _floor_sum
+from . import square_sum as _square_sum
+from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, SumReport
@@ -127,8 +151,47 @@ def _period(a, b, q_blocks, m, sink):
     )
 
 
+def _table(a, b, h):
+    # Every value the nested walks of an untraced T2(a,b;h) read, keyed as
+    # trace.walk looks them up (see the module docstring).
+    table = {}
+    # Through the modules: the keys are the rules the nested walks hand
+    # trace.walk, and _terms is the one square_sum holds at call time.
+    q_chain, s_chain = _floor_sum._division, _square_sum._division
+    m = h % a
+    q_top, y = divmod(b, a)
+    x, k = a, m
+    levels = []
+    while k and y > 1:
+        kp = y * k // x
+        d, r = divmod(x, y)
+        levels.append((x, y, k, kp, d))
+        x, y, k = y, r, kp
+    # 2x*S(x,y;k) and Q(x,y;k) at the bottom state, then up the chain.
+    two_x_s, q = sum_squares(k), 0
+    for x, y, k, kp, d in reversed(levels):
+        t = kp * (kp + 1) // 2
+        two_x_s += d * y * (y + 2) * t
+        q += d * t
+        table[q_chain, y, x, kp] = q
+        e = _square_sum._terms(x, y, x - 1 - k)[4]
+        two_x_s, rem = divmod(x * two_x_s - e, y)
+        if rem:
+            raise InternalInvariantError(f"2a*S(a,b;a-1-h) is not integral for {shown((x, y, k))}")
+        two_x_s += (
+            x * (k * (2 + 4 * kp - y * (x + 1 - k)) - 4 * q)
+            + x * (3 * x * x * y - x * x + 3 * x * y - 6 * x - 6 * y + 7) // 6
+        )
+        q = k * kp - q
+        table[s_chain, x, y, k] = Fraction(two_x_s, 2 * x)
+    if h >= a:
+        table[q_chain, a, b, m] = q_top * (m * (m + 1) // 2) + q
+    return table
+
+
 def _walk(a, b, h, trace=None):
-    return exact_int(walk(a, b, h, trace, _division, _reciprocity, _period, _unit), "T2", a, b, h)
+    value = walk(a, b, h, trace, _division, _reciprocity, _period, _unit, table=_table)
+    return exact_int(value, "T2", a, b, h)
 
 
 def t2(a: int, b: int, h: int, trace=None) -> int:

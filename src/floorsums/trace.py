@@ -7,8 +7,8 @@ summing the contributions replays the computation exactly.  A step whose rule
 ran walks of its own (the T2 chain's reciprocity and period rules do) keeps
 their steps as its ``children``, so a trace is a tree: the children of a T2
 reciprocity step replay to Q(b,a;h') + S(a,b;h), those of a T2 period step to
-Q(a,b;m).  Only ``walk`` builds steps, and only ``walk`` reads and fills
-the memo that the nested walks of one untraced call share.
+Q(a,b;m).  Only ``walk`` builds steps, and only ``walk`` reads the table
+that gives the nested walks of an untraced call their values.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +60,7 @@ def euclid_steps(a: int, b: int) -> int:
     return n
 
 
-def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0):
+def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0, table=None):
     """f(a, b; h) for coprime (a, b), walked down the Euclidean chain of
     (a, b); every step is recorded in ``sink`` if it is a ``Trace``.
 
@@ -80,27 +80,19 @@ def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0):
 
     The period and reciprocity rules hand their ``sink`` unchanged to the
     walks they run.  When tracing, it is a fresh ``Trace``, whose steps
-    become the children of the rule's step.  Untraced, it is the walk memo:
-    the one this walk was given, or a new dict at the top of an untraced
-    walk, so every walk nested in one call shares one memo and it lasts for
-    that call.  ``zero`` is the empty sum; it fixes the type of the result.
-
-    A walk given a memo memoizes its own states.  Only the S and Q walks are
-    ever nested, and their coefficient stays +-1, which the memo needs.  Its
-    key is (division, a, b, h): the division rule names the chain, so walks
-    of different sums share it without colliding.  Before each step after
-    the period rule the walk looks its state up.  On a miss it stores the
-    state as (final, partial sum before the state, sign), sign being the
-    coefficient there and final a one-item list that takes the walk's total
-    when it ends, so that f at that state is sign * (final - partial).  On a hit it adds
-    coefficient * sign * (final - partial) and stops.  No lookup meets a
-    final not yet filled: a walk never passes a state twice, and the S and Q
-    rules run no walks.
+    become the children of the rule's step.  Untraced, it is the dict that
+    ``table(a, b, h)`` returns, if the chain has a ``table``: every value
+    those nested walks will need, keyed by (chain, a, b, h), the chain
+    being named by its division rule.  A walk handed that dict returns its
+    entry for its own start state and walks nothing.  Without a table an
+    untraced walk hands its rules None.  ``zero`` is the empty sum; it
+    fixes the type of the result.
     """
-    trace = sink if isinstance(sink, Trace) else None
-    memo = sink if isinstance(sink, dict) else None
-    final = []
-    sink = {} if sink is None else sink
+    if isinstance(sink, dict):
+        return sink[division, a, b, h]
+    trace = sink
+    if trace is None and table is not None:
+        sink = table(a, b, h)
     total = zero
     if h >= a >= 2 and b >= 1:
         q_blocks, m = divmod(h, a)
@@ -111,13 +103,6 @@ def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0):
         h = m
     coef = 1
     while h and b:
-        if memo is not None:
-            key = (division, a, b, h)
-            if key in memo:
-                cell, partial, sign = memo[key]
-                total += coef * sign * (cell[0] - partial)
-                break
-            memo[key] = (final, total, coef)
         if a == 1 or (b == 1 and unit is not None):
             c = division(1, b, h, coef) if a == 1 else unit(a, h, coef)
             if trace is not None:
@@ -140,5 +125,4 @@ def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0):
     else:
         if trace is not None:
             trace.record(RULE_BASE, a, b, h, {}, 0, [])
-    final.append(total)
     return total

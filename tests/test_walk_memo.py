@@ -1,13 +1,13 @@
-"""The walk memo of an untraced T2 call.
+"""The nested walks of an untraced T2 call read one table.
 
-An untraced ``t2`` keeps, for the one call, a memo of its nested S and
-floor-sum walks; a traced ``t2`` walks the paper's full chain and records
-every nested step.  The traced call is the reference: the untraced value must
-equal it and its ``replay()``.  The memo must also save work: a nested walk
-stops at the first state an earlier walk passed, so the S reciprocity steps
-(one ``square_sum._terms`` evaluation each) and the floor-sum reciprocity
-steps of the whole call stay within a small multiple of the Euclid steps of
-(a, b); for h >= a the period rule's Q walk shares the memo too.  It must
+An untraced ``t2`` fills, for the one call, a table of every value its
+nested S and floor-sum walks need, in one pass up its chain; a traced
+``t2`` walks the paper's full chain and records every nested step.  The
+traced call is the reference: the untraced value must equal it and its
+``replay()``.  The table must also save work: the pass makes exactly one S
+reciprocity step (one ``square_sum._terms`` evaluation) per T2 reciprocity
+level, at most the Euclid steps of (a, b), and no floor-sum reciprocity
+step, also when h >= a and the period rule reads Q(a,b;m) from it.  It must
 not outlive the call.
 """
 
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from floorsums import square_sum, t2, t3, t3_alt
-from floorsums.trace import Trace, euclid_steps
+from floorsums.trace import RULE_RECIPROCITY, Trace, euclid_steps
 
 # The package attribute floorsums.floor_sum is the function.
 floor_sum = importlib.import_module("floorsums.floor_sum")
@@ -33,6 +33,16 @@ def coprime_instance(bits, past_the_period=False):
         a = rng.getrandbits(bits) | (1 << (bits - 1))
         b = rng.randrange(1, a)
     return a, b, a + rng.randrange(2 * a) if past_the_period else rng.randrange(a)
+
+
+def t2_levels(a, b, h):
+    """Number of T2 reciprocity steps of coprime (a, b) and h, a >= 2."""
+    n = 0
+    b, h = b % a, h % a
+    while h and b > 1:
+        a, b, h = b, a % b, b * h // a
+        n += 1
+    return n
 
 
 def step_calls(monkeypatch, call):
@@ -73,6 +83,18 @@ def test_untraced_t2_equals_traced_on_small_grid():
                     assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
 
 
+def test_level_count_matches_the_traced_chain():
+    for a in range(2, 40):
+        for b in range(1, 2 * a):
+            if math.gcd(a, b) != 1:
+                continue
+            for h in sorted({1, a // 2, a - 1, a, 2 * a + 3}):
+                trace = Trace()
+                t2(a, b, h, trace)
+                swaps = sum(step.rule == RULE_RECIPROCITY for step in trace.steps)
+                assert t2_levels(a, b, h) == swaps, (a, b, h)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_untraced_t2_equals_traced_on_seeded_pairs(bits):
     # The traced t2 at 1024 bits walks the paper's O(log^2) chain: about 20 s.
@@ -91,25 +113,22 @@ def test_untraced_t2_equals_traced_past_the_period(bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_period_q_walk_shares_the_memo(bits, monkeypatch):
-    # The period rule's Q(a,b;m) walk goes down the Euclid pairs of (a, b);
-    # the Q walks of the reciprocity steps then stop where it passed.
-    # Outside the memo, that walk would take the floor-sum steps to about
-    # twice the Euclid steps.
+    # The period rule's Q(a,b;m) walk and the reciprocity steps' walks all
+    # read the table: one S step per level and no floor-sum step.
     a, b, h = coprime_instance(bits, past_the_period=True)
-    _, _, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
-    euclid = euclid_steps(a, b)
-    assert q_steps <= euclid + 2, (q_steps, euclid)
+    _, s_steps, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert s_steps == t2_levels(a, b, h) <= euclid_steps(a, b), (s_steps, euclid_steps(a, b))
+    assert q_steps == 0
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
 def test_memo_saves_most_s_reciprocity_steps(bits, monkeypatch):
-    # Measured about 2.3x (S) and 1.0x (Q) the Euclid steps.  A memo read
-    # only where a nested walk starts would make 16x, 37x and 50x S steps.
+    # The paper's chain makes O(levels^2) S steps (46,971 traced at 512
+    # bits); the table makes one per level.
     a, b, h = coprime_instance(bits)
     _, s_steps, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
-    euclid = euclid_steps(a, b)
-    assert s_steps <= 3 * euclid, (s_steps, euclid)
-    assert q_steps <= 2 * euclid, (q_steps, euclid)
+    assert s_steps == t2_levels(a, b, h) <= euclid_steps(a, b), (s_steps, euclid_steps(a, b))
+    assert q_steps == 0
 
 
 def test_no_memo_outlives_a_call(monkeypatch):
