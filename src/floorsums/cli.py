@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import frobenius as frob
 from . import oracle
-from .cross_sum import _ir, _qr, _t3, full_report, t2
+from .cross_sum import _TARGETS, _ir, _qr, _t3, full_report, t2
 from .errors import InvalidArgumentError
 from .floor_sum import _remainder_sum, floor_sum
 from .models import Instance
@@ -27,7 +27,7 @@ from .oracle import oracle_report
 from .square_sum import _r2, _t1, s_value, t1
 from .trace import Trace
 
-TARGETS = ("q", "r", "r2", "t1", "t2", "t3", "ir", "qr", "s")
+TARGETS = tuple(_TARGETS)
 DEFAULT_H_GRID = ("0", "1", "a//2", "a-1", "a", "2*a+3")
 _BENCH_COLUMNS = ("bits", "rep", "seed", "target", "steps", "nanos")
 # verify's cost of one full_report, in oracle iterations: one full_report at
@@ -126,7 +126,7 @@ def cmd_compute(args) -> int:
     for target in targets:
         if target not in TARGETS:
             raise InvalidArgumentError(f"unknown target {shown(target)}")
-    wanted = set(targets)
+    chains = {chain for target in targets for chain in _TARGETS[target][1]}
 
     trace_rows = []
 
@@ -140,12 +140,12 @@ def cmd_compute(args) -> int:
     # Each chain (Q, S, T2) runs at most once, for the targets derived from
     # it; every target is a formula of the chain values.
     values = {}
-    if wanted & {"q", "r", "r2", "t1", "t3", "qr"}:
+    if "q" in chains:
         values["q"] = q = run("q", floor_sum, canon)
         values["r"] = _remainder_sum(a, b, h, q)
-    if wanted & {"s", "r2", "t1", "t3", "qr"}:
+    if "s" in chains:
         values["s"] = s = run("s", s_value, a, b, h)
-    if wanted & {"t2", "t3", "ir", "qr"}:
+    if "t2" in chains:
         values["t2"] = t2v = run("t2", t2, a, b, h)
         values["ir"] = _ir(a, b, h, t2v)
     if "q" in values and "s" in values:
@@ -189,32 +189,15 @@ def _print_trace_text(rows: list, depth: int) -> None:
         _print_trace_text(row["children"], depth + 1)
 
 
-def _report_fields(report):
-    return {
-        "q": report.q_sum,
-        "r": report.r_sum,
-        "r2": report.r2_sum,
-        "t1": report.t1,
-        "t2": report.t2,
-        "t3": report.t3,
-        "ir": report.ir_sum,
-        "qr": report.qr_sum,
-        "s": report.s,
-    }
-
-
 def _verify_one(a: int, b: int, h: int) -> bool:
     inst = Instance(a, b, h)
-    fast = _report_fields(full_report(inst))
-    slow = _report_fields(oracle_report(inst))
+    fast, slow = full_report(inst), oracle_report(inst)
     ok = True
-    for key in fast:
-        if fast[key] != slow[key]:
+    for key, (field, _) in _TARGETS.items():
+        mine, want = getattr(fast, field), getattr(slow, field)
+        if mine != want:
             ok = False
-            print(
-                f"MISMATCH a={a} b={b} h={h} field={key}: "
-                f"fast={_fmt(fast[key])} oracle={_fmt(slow[key])}"
-            )
+            print(f"MISMATCH a={a} b={b} h={h} field={key}: fast={_fmt(mine)} oracle={_fmt(want)}")
     return ok
 
 
@@ -361,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_int_arg)
     p.add_argument("--max", type=_int_arg, help="sweep all coprime pairs 2 <= a,b <= MAX")
     p.add_argument("--h-grid", dest="h_grid",
-                   help="comma-separated h expressions in a (default 0,1,a//2,a-1,a,2*a+3)")
+                   help=f"comma-separated h expressions in a (default {','.join(DEFAULT_H_GRID)})")
 
     p = sub.add_parser("frobenius", help="nonrepresentable count/sum and 4-variable solution count")
     p.add_argument("--a", type=_int_arg, required=True)

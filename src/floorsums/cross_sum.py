@@ -256,25 +256,30 @@ def t3_alt(a: int, b: int, h: int) -> int:
     return full + tail
 
 
+# The report's nine targets, in SumReport's field order: each compute key, its
+# SumReport field and the chains (q, s, t2) it is derived from.
+_TARGETS = {
+    "q": ("q_sum", ("q",)),
+    "r": ("r_sum", ("q",)),
+    "r2": ("r2_sum", ("q", "s")),
+    "t1": ("t1", ("q", "s")),
+    "t2": ("t2", ("t2",)),
+    "t3": ("t3", ("q", "s", "t2")),
+    "ir": ("ir_sum", ("t2",)),
+    "qr": ("qr_sum", ("q", "s", "t2")),
+    "s": ("s", ("s",)),
+}
+
+
 def full_report(inst: Instance) -> SumReport:
     """All supported sums for one instance, computed by the fast paths."""
     inst, _ = inst.canonical()
     a, b, h = inst.a, inst.b, inst.h
-    q_sum = floor_sum(inst)
-    s = s_value(a, b, h)
-    t1v = t1(a, b, h)
-    r2 = _r2(a, b, h, t1v)
-    t2v = t2(a, b, h)
-    t3v = t3(a, b, h)
-    return SumReport(
-        instance=inst,
-        q_sum=q_sum,
-        r_sum=remainder_sum(inst),
-        r2_sum=r2,
-        t1=t1v,
-        t2=t2v,
-        t3=t3v,
-        ir_sum=_ir(a, b, h, t2v),
-        qr_sum=_qr(a, b, t2v, t3v),
-        s=s,
-    )
+    values = {"q": floor_sum(inst), "r": remainder_sum(inst), "s": s_value(a, b, h)}
+    values["t1"] = t1v = t1(a, b, h)
+    values["r2"] = _r2(a, b, h, t1v)
+    values["t2"] = t2v = t2(a, b, h)
+    values["t3"] = t3v = t3(a, b, h)
+    values["ir"] = _ir(a, b, h, t2v)
+    values["qr"] = _qr(a, b, t2v, t3v)
+    return SumReport(inst, **{field: values[key] for key, (field, _) in _TARGETS.items()})

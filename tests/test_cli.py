@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from floorsums import (
     Instance,
+    SumReport,
     cli,
     cross_sum,
     floor_sum,
@@ -212,7 +214,8 @@ class TestCompute:
             a = rng.getrandbits(64) | (1 << 63)
             cases.append((a, rng.randrange(3 * a), rng.randrange(3 * a)))
         for a, b, h in cases:
-            fields = cli._report_fields(full_report(Instance(a, b, h)))
+            report = full_report(Instance(a, b, h))
+            fields = {key: getattr(report, field) for key, (field, _) in cross_sum._TARGETS.items()}
             for targets in TARGET_LISTS:
                 code, out, _ = run(capsys, "compute", "--a", str(a), "--b", str(b), "--h", str(h),
                                    "--targets", ",".join(targets))
@@ -220,9 +223,15 @@ class TestCompute:
                 expected = {target: cli._fmt(fields[target]) for target in targets}
                 assert json.loads(out)["sums"] == expected, (a, b, h, targets)
 
+    def test_target_table_follows_sum_report(self):
+        fields = [field for field, _ in cross_sum._TARGETS.values()]
+        assert fields == [field.name for field in dataclasses.fields(SumReport)[1:]]
+
     def test_each_chain_runs_at_most_once(self, capsys, monkeypatch):
         # Counts the outermost calls of each chain, through every module name
         # it can be called by; the chains' own nested calls are not counted.
+        # The chains that run are exactly those the target table names.
+        table_name = {"floor_sum": "q", "s_value": "s", "t2": "t2"}
         calls = Counter()
         depth = [0]
 
@@ -250,6 +259,9 @@ class TestCompute:
                     argv += ["--targets", ",".join(targets)]
                 assert run(capsys, *argv)[0] == 0
                 assert max(calls.values()) == 1, (targets, calls)
+                wanted = {chain for target in targets or TARGETS
+                          for chain in cross_sum._TARGETS[target][1]}
+                assert {table_name[name] for name in calls} == wanted, (targets, calls)
                 if targets is None:
                     assert calls == {"floor_sum": 1, "s_value": 1, "t2": 1}
 
