@@ -25,18 +25,16 @@ floor-sum walk run, unchecked, at every level.  A traced call walks each
 of them in full, so its transcript keeps the paper's O((log max(a,b))^2)
 steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
-children.  No rule builds a trace or a table.
+children.  No rule builds a trace.
 
-Untraced, that sink is a table that ``_table`` fills in one pass up the
-chain, keyed by (division rule, a, b, h) as ``trace.walk`` looks it up, and
-each nested walk returns its entry; the values, not the steps, are the
-paper's.  For a reciprocity state (a, b, h), coprime a > b >= 2 and
-1 <= h < a, write hbar = a-1-h, X = 2a*S(a,b;h), X' = 2b*S(b,a;h') and
-Q' = Q(b,a;h').  The S reciprocity at the reflected bound hbar swaps to
-exactly h' (``square_sum._terms(a, b, hbar)`` gives H = h'), so with E its
-integer 2ab*eta2, 2a*S(a,b;hbar) = (E - a*X')/b.  The reflection
-r_(a-i) = a - r_i over the full period gives X + 2a*S(a,b;hbar) = P - 4a*Q',
-hence
+Untraced, ``_walk`` runs none of these walks: ``_pass`` computes the same
+value in one integer pass up the chain.  For a reciprocity state (a, b, h),
+coprime a > b >= 2 and 1 <= h < a, write hbar = a-1-h, X = 2a*S(a,b;h),
+X' = 2b*S(b,a;h'), Q' = Q(b,a;h') and T' = T2(b,a;h').  The S reciprocity
+at the reflected bound hbar swaps to exactly h' (``square_sum._terms(a, b,
+hbar)`` gives H = h'), so with E its integer 2ab*eta2, 2a*S(a,b;hbar) =
+(E - a*X')/b.  The reflection r_(a-i) = a - r_i over the full period gives
+X + 2a*S(a,b;hbar) = P - 4a*Q', hence
 
     X = P - 4a*Q' + (a*X' - E)/b,      Q(a,b;h) = h*h' - Q',
     P = (a-1)a(2a-1)/6 - a^2*hbar + ab*hbar(hbar+1) + (2a - a^2)K
@@ -47,13 +45,18 @@ and P expands to
 
     P = a*h*(2 + 4h' - b(a+1-h)) + a(3a^2*b - a^2 + 3ab - 6a - 6b + 7)/6.
 
-The state below, (b, a mod b, h'), gives X' and Q' through one division
-step, which adds q*b(b+2)h'(h'+1)/2 and q*h'(h'+1)/2 with q = a // b; at
-the bottom of the chain h' = 0 or a mod b = 1, where X' = h'(h'+1)(2h'+1)/6
-and Q' = 0.  So the pass makes one ``_terms`` call per level, checks that
-each division by b is exact, and stores S = X/(2a), the value an S walk
-returns, and Q'.  The period rule's Q(a,b;m) is the top state's Q after
-its division step.
+The T2 reciprocity above, times 2ab, then holds between integers:
+
+    2ab*T2(a,b;h) = a*(a*h*h'^2 + (a+2)*h*h' - 2Q') - X
+                    + b^2*h(h+1)(2h+1)/6 - 2a^2*T'.
+
+The state below, (b, a mod b, h'), gives X', Q' and T' through one division
+step, which adds q*b(b+2)h'(h'+1)/2, q*h'(h'+1)/2 and q*h'(h'+1)(2h'+1)/6
+with q = a // b; at the bottom of the chain h' = 0 or a mod b = 1, where
+X' = h'(h'+1)(2h'+1)/6 and Q' = T' = 0.  So the pass makes one ``_terms``
+call per level and checks that its divisions by b and by 2ab are exact.
+The top state's division step gives T2(a,b;m) and Q(a,b;m), and for h >= a
+the block formula of the period rule adds the full periods from that Q.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -75,7 +78,6 @@ for cross-validation.
 
 from fractions import Fraction
 
-from . import floor_sum as _floor_sum
 from . import square_sum as _square_sum
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
@@ -132,12 +134,11 @@ def _period_term(a, b):
     return exact_int(value, "T2", a, b, a - 1)
 
 
-def _period(a, b, q_blocks, m, sink):
+def _blocks(a, b, q_blocks, m, fm):
     # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
-    # full blocks reduce to T2(a,b;a), floor sums and polynomial sums; only
-    # the tail h mod a recurses.
+    # full blocks reduce to T2(a,b;a), floor sums and polynomial sums, with
+    # fm = Q(a,b;m); only the tail h mod a recurses.
     t2_a = _period_term(a, b) + a * b
-    fm = _floor_walk(a, b, m, sink)
     sj = q_blocks * (q_blocks - 1) // 2
     sj2 = sum_squares(q_blocks - 1)
     return (
@@ -151,14 +152,16 @@ def _period(a, b, q_blocks, m, sink):
     )
 
 
-def _table(a, b, h):
-    # Every value the nested walks of an untraced T2(a,b;h) read, keyed as
-    # trace.walk looks them up (see the module docstring).
-    table = {}
-    # Through the modules: the keys are the rules the nested walks hand
-    # trace.walk, and _terms is the one square_sum holds at call time.
-    q_chain, s_chain = _floor_sum._division, _square_sum._division
-    m = h % a
+def _period(a, b, q_blocks, m, sink):
+    return _blocks(a, b, q_blocks, m, _floor_walk(a, b, m, sink))
+
+
+def _pass(a, b, h):
+    # T2(a,b;h), untraced, in one integer pass up the chain (see the module
+    # docstring).
+    if a == 1:
+        return b * sum_squares(h)
+    q_blocks, m = divmod(h, a)
     q_top, y = divmod(b, a)
     x, k = a, m
     levels = []
@@ -167,13 +170,14 @@ def _table(a, b, h):
         d, r = divmod(x, y)
         levels.append((x, y, k, kp, d))
         x, y, k = y, r, kp
-    # 2x*S(x,y;k) and Q(x,y;k) at the bottom state, then up the chain.
-    two_x_s, q = sum_squares(k), 0
+    # 2x*S(x,y;k), Q(x,y;k) and T2(x,y;k) at the bottom state, then up the chain.
+    two_x_s, q, t = sum_squares(k), 0, 0
     for x, y, k, kp, d in reversed(levels):
-        t = kp * (kp + 1) // 2
-        two_x_s += d * y * (y + 2) * t
-        q += d * t
-        table[q_chain, y, x, kp] = q
+        tri = kp * (kp + 1) // 2
+        two_x_s += d * y * (y + 2) * tri
+        q += d * tri
+        t += d * (tri * (2 * kp + 1) // 3)
+        # _terms is the one square_sum holds at call time.
         e = _square_sum._terms(x, y, x - 1 - k)[4]
         two_x_s, rem = divmod(x * two_x_s - e, y)
         if rem:
@@ -182,15 +186,25 @@ def _table(a, b, h):
             x * (k * (2 + 4 * kp - y * (x + 1 - k)) - 4 * q)
             + x * (3 * x * x * y - x * x + 3 * x * y - 6 * x - 6 * y + 7) // 6
         )
+        t, rem = divmod(
+            x * (k * kp * (x * kp + x + 2) - 2 * q - 2 * x * t)
+            - two_x_s
+            + y * y * (k * (k + 1) * (2 * k + 1) // 6),
+            2 * x * y,
+        )
+        if rem:
+            raise InternalInvariantError(f"T2 is not integral for {shown((x, y, k))}")
         q = k * kp - q
-        table[s_chain, x, y, k] = Fraction(two_x_s, 2 * x)
-    if h >= a:
-        table[q_chain, a, b, m] = q_top * (m * (m + 1) // 2) + q
-    return table
+    t += q_top * sum_squares(m)
+    if q_blocks:
+        t += _blocks(a, b, q_blocks, m, q_top * (m * (m + 1) // 2) + q)
+    return t
 
 
 def _walk(a, b, h, trace=None):
-    value = walk(a, b, h, trace, _division, _reciprocity, _period, _unit, table=_table)
+    if trace is None:
+        return _pass(a, b, h)
+    value = walk(a, b, h, trace, _division, _reciprocity, _period, _unit)
     return exact_int(value, "T2", a, b, h)
 
 

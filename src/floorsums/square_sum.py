@@ -82,15 +82,12 @@ def _terms(a, b, h):
     # false under the H = -1 reading.
     n1 = (1 + q) % b or b
     big_h = n1 - 1
+    # The module docstring's polynomial, factored to share its big products.
     eta2_12ab = (
-        3 * a * a * (b + 2) * big_h * (big_h + 1)
-        + 3 * b * b * (a + 2) * h * (h + 1)
-        - a * big_h * (b + 1) * (b + 5)
-        - b * h * (a + 1) * (a + 5)
+        a * big_h * (3 * a * (b + 2) * (big_h + 1) - (b + 1) * (b + 5))
+        + b * h * (3 * b * (a + 2) * (h + 1) - (a + 1) * (a + 5))
         - b * (a - 1) * (a - 5)
-        - n0 * (a * a - 3 * a * b - 6 * a + b * b + 6 * b + 5)
-        + 3 * (a - b - 2) * n0 * n0
-        - 2 * n0 * n0 * n0
+        + n0 * (n0 * (3 * (a - b - 2) - 2 * n0) - a * (a - 3 * b - 6) - b * (b + 6) - 5)
     )
     eta2_2ab, rem = divmod(eta2_12ab, 6)
     if rem:

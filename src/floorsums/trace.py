@@ -7,8 +7,7 @@ summing the contributions replays the computation exactly.  A step whose rule
 ran walks of its own (the T2 chain's reciprocity and period rules do) keeps
 their steps as its ``children``, so a trace is a tree: the children of a T2
 reciprocity step replay to Q(b,a;h') + S(a,b;h), those of a T2 period step to
-Q(a,b;m).  Only ``walk`` builds steps, and only ``walk`` reads the table
-that gives the nested walks of an untraced call their values.
+Q(a,b;m).  Only ``walk`` builds steps.
 """
 
 from dataclasses import dataclass, field
@@ -60,9 +59,9 @@ def euclid_steps(a: int, b: int) -> int:
     return n
 
 
-def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0, table=None):
+def walk(a, b, h, trace, division, reciprocity, period, unit=None, zero=0):
     """f(a, b; h) for coprime (a, b), walked down the Euclidean chain of
-    (a, b); every step is recorded in ``sink`` if it is a ``Trace``.
+    (a, b); every step is recorded in ``trace`` unless it is None.
 
     The rules hold all the arithmetic of f.  The walk carries a coefficient
     (1 at the start), and every rule returns its contribution already
@@ -79,24 +78,14 @@ def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0, table=
       derived), derived being the parameters a trace records.
 
     The period and reciprocity rules hand their ``sink`` unchanged to the
-    walks they run.  When tracing, it is a fresh ``Trace``, whose steps
-    become the children of the rule's step.  Untraced, it is the dict that
-    ``table(a, b, h)`` returns, if the chain has a ``table``: every value
-    those nested walks will need, keyed by (chain, a, b, h), the chain
-    being named by its division rule.  A walk handed that dict returns its
-    entry for its own start state and walks nothing.  Without a table an
-    untraced walk hands its rules None.  ``zero`` is the empty sum; it
-    fixes the type of the result.
+    walks they run: untraced it is None, and when tracing a fresh
+    ``Trace``, whose steps become the children of the rule's step.
+    ``zero`` is the empty sum; it fixes the type of the result.
     """
-    if isinstance(sink, dict):
-        return sink[division, a, b, h]
-    trace = sink
-    if trace is None and table is not None:
-        sink = table(a, b, h)
     total = zero
     if h >= a >= 2 and b >= 1:
         q_blocks, m = divmod(h, a)
-        children = sink if trace is None else Trace()
+        children = None if trace is None else Trace()
         total = period(a, b, q_blocks, m, children)
         if trace is not None:
             trace.record(RULE_PERIOD, a, b, h, {"Q": q_blocks, "m": m}, total, children.steps)
@@ -116,7 +105,7 @@ def walk(a, b, h, sink, division, reciprocity, period, unit=None, zero=0, table=
                 trace.record(RULE_DIVISION, a, b, h, {"q": q, "r": r}, c, [])
             b = r
         else:
-            children = sink if trace is None else Trace()
+            children = None if trace is None else Trace()
             c, coef, h_next, derived = reciprocity(a, b, h, coef, children)
             if trace is not None:
                 trace.record(RULE_RECIPROCITY, a, b, h, derived, c, children.steps)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from floorsums import (
     reciprocity_terms,
     remainder_square_sum,
     s_value,
+    square_sum,
     t1,
 )
 
@@ -72,6 +74,40 @@ class TestReciprocityTerms:
     def test_gamma_symmetric(self):
         for a, b in [(8411, 2732), (7, 3), (26, 11)]:
             assert reciprocity_terms(a, b, 0).gamma == reciprocity_terms(b, a, 0).gamma
+
+    def test_factored_eta2_equals_the_expanded_polynomial(self):
+        # _terms evaluates 12ab*eta2 factored; the module docstring states it
+        # expanded, as below.
+        def expanded(a, b, h):
+            n0, _, _, big_h, _ = square_sum._terms(a, b, h)
+            return (
+                3 * a * a * (b + 2) * big_h * (big_h + 1)
+                + 3 * b * b * (a + 2) * h * (h + 1)
+                - a * big_h * (b + 1) * (b + 5)
+                - b * h * (a + 1) * (a + 5)
+                - b * (a - 1) * (a - 5)
+                - n0 * (a * a - 3 * a * b - 6 * a + b * b + 6 * b + 5)
+                + 3 * (a - b - 2) * n0 * n0
+                - 2 * n0 * n0 * n0
+            )
+
+        cases = [
+            (a, b, h)
+            for a in range(2, 40)
+            for b in range(1, 2 * a)
+            if math.gcd(a, b) == 1
+            for h in H_GRID(a)
+        ]
+        rng = random.Random(4096)
+        for bits in (64, 256, 1024, 4096):
+            for _ in range(5):
+                a = rng.getrandbits(bits) | (1 << (bits - 1))
+                b = rng.randrange(1, a)
+                while math.gcd(a, b) != 1:
+                    b = rng.randrange(1, a)
+                cases.append((a, b, rng.randrange(a)))
+        for a, b, h in cases:
+            assert 6 * square_sum._terms(a, b, h)[4] == expanded(a, b, h), (a, b, h)
 
 
 class TestSValue:

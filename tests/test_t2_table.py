@@ -1,24 +1,22 @@
-"""The table an untraced T2 call reads its S and Q values from.
+"""The integer pass an untraced T2 call takes.
 
-``cross_sum._table`` fills, in one pass up the T2 chain, S(a,b;h) and
-Q(b,a;h') at every reciprocity state, and Q(a,b;m) for the period rule.
-Each entry is checked here against the independent S and floor-sum walks
-(``s_value`` and ``floor_sum``), and the two facts the pass rests on are
-checked directly: ``_terms`` at the reflected bound a-1-h swaps to
-h' = floor(bh/a), and the division by b in each level is exact.
+``cross_sum._pass`` computes T2(a,b;h) in one pass up the T2 chain, carrying
+2a*S and Q alongside.  The traced ``t2`` walks the paper's chain and is the
+reference: the pass must equal it and its ``replay()`` at the top state and
+at every state the chain passes.  The facts the pass rests on are checked
+directly: ``_terms`` at the reflected bound a-1-h swaps to h' = floor(bh/a),
+and each level's divisions, by b for 2a*S and by 2ab for T2, are exact.
 """
 
-import importlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from floorsums import Instance, InternalInvariantError, floor_sum, s_value, square_sum, t2
-from floorsums.cross_sum import _table
-from floorsums.trace import euclid_steps
-
-floor_sum_module = importlib.import_module("floorsums.floor_sum")
+from floorsums import Instance, InternalInvariantError, floor_sum, square_sum, t2, t3, t3_alt
+from floorsums.cross_sum import _pass
+from floorsums.trace import RULE_RECIPROCITY, Trace
 
 
 def coprime_instance(bits, rng):
@@ -39,24 +37,20 @@ def levels(a, b, h):
     return states
 
 
-def expected_keys(a, b, h):
-    q_chain, s_chain = floor_sum_module._division, square_sum._division
-    keys = set()
-    for x, y, k in levels(a, b, h):
-        keys |= {(s_chain, x, y, k), (q_chain, y, x, y * k // x)}
-    if h >= a:
-        keys.add((q_chain, a, b, h % a))
-    return keys
-
-
-def check_entry(key, value):
-    chain, x, y, k = key
-    if chain is square_sum._division:
-        assert value == s_value(x, y, k), key
-        assert (2 * x * value).denominator == 1, key
-    else:
-        assert chain is floor_sum_module._division, key
-        assert value == floor_sum(Instance(x, y, k)), key
+def check_chain(a, b, h):
+    """The pass equals traced t2 and its replay() at (a, b, h), and at every
+    state its chain passes.  The value at a step's entry state is what is
+    left of the replay there, over the coefficient the walk carries."""
+    trace = Trace()
+    value = t2(a, b, h, trace)
+    assert _pass(a, b, h) == value == trace.replay(), (a, b, h)
+    rest, coef = trace.replay(), Fraction(1)
+    for step in trace.steps:
+        assert _pass(step.a, step.b, step.h) == rest / coef, (a, b, h, step.rule, step.a, step.b, step.h)
+        rest -= step.contribution
+        if step.rule == RULE_RECIPROCITY:
+            coef *= Fraction(-step.a, step.b)
+    assert rest == 0
 
 
 def test_every_entry_on_the_small_grid():
@@ -65,43 +59,38 @@ def test_every_entry_on_the_small_grid():
             if math.gcd(a, b) != 1:
                 continue
             for h in range(a):
-                table = _table(a, b, h)
-                assert set(table) == expected_keys(a, b, h), (a, b, h)
-                for key, value in table.items():
-                    check_entry(key, value)
+                check_chain(a, b, h)
 
 
 def test_every_entry_past_the_period_and_for_b_above_a():
-    for a in range(2, 16):
-        for b in range(1, 3 * a):
+    for a in range(1, 16):
+        for b in range(3 * a):
             if math.gcd(a, b) != 1:
                 continue
             for h in range(a, 3 * a + 2):
-                table = _table(a, b, h)
-                assert set(table) == expected_keys(a, b, h), (a, b, h)
-                for key, value in table.items():
-                    check_entry(key, value)
+                check_chain(a, b, h)
 
 
 @pytest.mark.parametrize("bits, checked", [(64, None), (512, 40), (2048, 4)])
 def test_seeded_pairs(bits, checked):
-    # At 64 bits every entry is walked; above that a seeded sample, because
-    # each independent walk from a state costs as much as the rest of the
-    # chain.  The top state's S and the period entry are always in it.
+    # A traced t2 grows as bits^3 (about 2 s at 512 bits), so the states
+    # sampled for a traced chain of their own are those of at most 128 bits
+    # (all of them at 64 bits).  Up to 512 bits the top state's traced chain
+    # checks every state; at 2048 bits t3 and t3_alt, which take T2 by
+    # different chains, and the reflection h <-> a-1-h check the top.
     rng = random.Random(bits)
     a, b, h = coprime_instance(bits, rng)
     h = max(h, a)
-    table = _table(a, b, h)
-    keys = expected_keys(a, b, h)
-    assert set(table) == keys
-    assert len(table) == 2 * len(levels(a, b, h)) + 1
-    assert len(levels(a, b, h)) <= euclid_steps(a, b)
-    top = {(square_sum._division, a, b % a, h % a), (floor_sum_module._division, a, b, h % a)}
-    assert top <= keys
-    rest = sorted(keys - top, key=lambda key: key[1:])
-    sample = rest if checked is None else rng.sample(rest, checked)
-    for key in sorted(top, key=lambda key: key[1:]) + sample:
-        check_entry(key, table[key])
+    deep = [state for state in levels(a, b, h) if state[0].bit_length() <= 128]
+    for state in deep if checked is None else rng.sample(deep, checked):
+        check_chain(*state)
+    if bits <= 512:
+        check_chain(a, b, h)
+        return
+    assert t3(a, b, h) == t3_alt(a, b, h)
+    m = h % a
+    expected = (b - 1) * (a * m - m * (m + 1) // 2) - a * floor_sum(Instance(a, b, m)) + t2(a, b, m)
+    assert t2(a, b, a) - a * b - t2(a, b, a - 1 - m) == expected
 
 
 def test_terms_at_the_reflected_bound_swaps_to_h_prime():
@@ -138,3 +127,18 @@ def test_inexact_division_is_an_internal_error(monkeypatch):
     with pytest.raises(InternalInvariantError, match=r"-bit int>") as raised:
         t2(a, b, h % a)
     assert len(str(raised.value)) < 120
+
+
+def test_inexact_t2_division_is_an_internal_error(monkeypatch):
+    # E + 6b keeps the division by b exact and lowers 2a*S by 6, which
+    # leaves 2ab*T2 off by 6; 2ab >= 12 at every level, so the T2 division
+    # is inexact at the first level the pass reaches.
+    original = square_sum._terms
+
+    def off_by_six_b(a, b, h):
+        *head, e = original(a, b, h)
+        return (*head, e + 6 * b)
+
+    monkeypatch.setattr(square_sum, "_terms", off_by_six_b)
+    with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(5, 2, 4\)$"):
+        t2(5, 2, 4)

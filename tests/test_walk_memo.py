@@ -1,14 +1,14 @@
-"""The nested walks of an untraced T2 call read one table.
+"""An untraced T2 call walks nothing.
 
-An untraced ``t2`` fills, for the one call, a table of every value its
-nested S and floor-sum walks need, in one pass up its chain; a traced
-``t2`` walks the paper's full chain and records every nested step.  The
-traced call is the reference: the untraced value must equal it and its
-``replay()``.  The table must also save work: the pass makes exactly one S
+An untraced ``t2`` runs no nested S or floor-sum walk: it computes T2 in
+one integer pass up its chain, carrying 2a*S and Q along; a traced ``t2``
+walks the paper's full chain and records every nested step.  The traced
+call is the reference: the untraced value must equal it and its
+``replay()``.  The pass must also save work: it makes exactly one S
 reciprocity step (one ``square_sum._terms`` evaluation) per T2 reciprocity
 level, at most the Euclid steps of (a, b), and no floor-sum reciprocity
-step, also when h >= a and the period rule reads Q(a,b;m) from it.  It must
-not outlive the call.
+step, also when h >= a and the period rule needs Q(a,b;m).  Nothing of it
+outlives the call.
 """
 
 import functools
@@ -113,8 +113,8 @@ def test_untraced_t2_equals_traced_past_the_period(bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_period_q_walk_shares_the_memo(bits, monkeypatch):
-    # The period rule's Q(a,b;m) walk and the reciprocity steps' walks all
-    # read the table: one S step per level and no floor-sum step.
+    # The pass gives the period rule's Q(a,b;m) too: one S step per level
+    # and no floor-sum step.
     a, b, h = coprime_instance(bits, past_the_period=True)
     _, s_steps, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
     assert s_steps == t2_levels(a, b, h) <= euclid_steps(a, b), (s_steps, euclid_steps(a, b))
@@ -124,7 +124,7 @@ def test_period_q_walk_shares_the_memo(bits, monkeypatch):
 @pytest.mark.parametrize("bits", [256, 512, 1024])
 def test_memo_saves_most_s_reciprocity_steps(bits, monkeypatch):
     # The paper's chain makes O(levels^2) S steps (46,971 traced at 512
-    # bits); the table makes one per level.
+    # bits); the pass makes one per level.
     a, b, h = coprime_instance(bits)
     _, s_steps, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
     assert s_steps == t2_levels(a, b, h) <= euclid_steps(a, b), (s_steps, euclid_steps(a, b))
