@@ -28,35 +28,31 @@ them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
 Untraced, ``_walk`` runs none of these walks: ``_pass`` computes the same
-value in one integer pass up the chain.  For a reciprocity state (a, b, h),
-coprime a > b >= 2 and 1 <= h < a, write hbar = a-1-h, X = 2a*S(a,b;h),
-X' = 2b*S(b,a;h'), Q' = Q(b,a;h') and T' = T2(b,a;h').  The S reciprocity
-at the reflected bound hbar swaps to exactly h' (``square_sum._terms(a, b,
-hbar)`` gives H = h'), so with E its integer 2ab*eta2, 2a*S(a,b;hbar) =
-(E - a*X')/b.  The reflection r_(a-i) = a - r_i over the full period gives
-X + 2a*S(a,b;hbar) = P - 4a*Q', hence
+value in one integer pass up the chain, carrying Q, T2 and T3 and no S.  For
+a reciprocity state (a, b, h), coprime a > b >= 2 and 1 <= h < a, write
+h' = floor(bh/a), f_j = floor(ja/b) and Q', T2', T3' for the sums of
+(b, a; h').  Count the lattice points (i, j) with i <= h and
+1 <= j <= floor(ib/a) by columns and by rows.  Row j holds the i with
+f_j < i <= h for 1 <= j <= h', because ja/b is never an integer there: a
+and b are coprime and h' < b.  Weighting each point by 1, by i and by
+2j-1 gives sum_j (h - f_j), sum_j (h(h+1) - f_j(f_j+1))/2 and
+sum_j (2j-1)(h - f_j), that is
 
-    X = P - 4a*Q' + (a*X' - E)/b,      Q(a,b;h) = h*h' - Q',
-    P = (a-1)a(2a-1)/6 - a^2*hbar + ab*hbar(hbar+1) + (2a - a^2)K
-        + a(a+2)*h*h',
-    K = hbar(b-1) - (a-1)(b-1)/2 + h*h'   (= Q(a,b;hbar) + Q'),
+    Q(a,b;h)    = h*h' - Q',
+    2*T2(a,b;h) = h'*h(h+1) - T3' - Q',
+    T3(a,b;h)   = h*h'^2 - 2*T2' + Q'.
 
-and P expands to
+The state below, (b, a mod b, h'), gives the sums of (b, a; h') by one
+division step: for x = d*y + r, floor(ix/y) = d*i + floor(ir/y), so the
+sums over i <= h' change by
 
-    P = a*h*(2 + 4h' - b(a+1-h)) + a(3a^2*b - a^2 + 3ab - 6a - 6b + 7)/6.
+    Q += d*sum i,    T2 += d*sum i^2,    T3 += 2d*T2 + d^2*sum i^2,
 
-The T2 reciprocity above, times 2ab, then holds between integers:
-
-    2ab*T2(a,b;h) = a*(a*h*h'^2 + (a+2)*h*h' - 2Q') - X
-                    + b^2*h(h+1)(2h+1)/6 - 2a^2*T'.
-
-The state below, (b, a mod b, h'), gives X', Q' and T' through one division
-step, which adds q*b(b+2)h'(h'+1)/2, q*h'(h'+1)/2 and q*h'(h'+1)(2h'+1)/6
-with q = a // b; at the bottom of the chain h' = 0 or a mod b = 1, where
-X' = h'(h'+1)(2h'+1)/6 and Q' = T' = 0.  So the pass makes one ``_terms``
-call per level and checks that its divisions by b and by 2ab are exact.
-The top state's division step gives T2(a,b;m) and Q(a,b;m), and for h >= a
-the block formula of the period rule adds the full periods from that Q.
+with T2 in the last update taken before the step.  At the bottom of the
+chain h' = 0 or a mod b = 1, and all three sums are 0.  The only exactness
+check is the parity of 2*T2.  The top state's division step gives
+T2(a,b;m) and Q(a,b;m), and for h >= a the block formula of the period
+rule adds the full periods from that Q.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -69,8 +65,10 @@ formula (Knuth, TAOCP Vol. 2, 3.3.3) and that relation give
 
 The formula, stated for b < a, holds as written for b > a: the quotients
 then begin 0, b//a, which adds 2 to t and -b//a to the sum, and
-a*(-(b//a)) + b = b mod a.  A direct t2(a, b, a-1) still takes the paper's
-chain, and so does t3_alt, which thereby cross-checks the formula.
+a*(-(b//a)) + b = b mod a.  A direct t2(a, b, a-1) does not use the
+formula: traced, it walks the paper's chain, and untraced it is one pass up
+that chain, as is every T2 that t3_alt takes, which thereby cross-checks
+the formula.
 
 T3 follows from T1 and T2, with an independent second route (t3_alt) used
 for cross-validation.
@@ -78,7 +76,6 @@ for cross-validation.
 
 from fractions import Fraction
 
-from . import square_sum as _square_sum
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
@@ -170,31 +167,16 @@ def _pass(a, b, h):
         d, r = divmod(x, y)
         levels.append((x, y, k, kp, d))
         x, y, k = y, r, kp
-    # 2x*S(x,y;k), Q(x,y;k) and T2(x,y;k) at the bottom state, then up the chain.
-    two_x_s, q, t = sum_squares(k), 0, 0
+    # Q, T2 and T3 of (x,y;k) at the bottom state, then up the chain.
+    q = t = u = 0
     for x, y, k, kp, d in reversed(levels):
-        tri = kp * (kp + 1) // 2
-        two_x_s += d * y * (y + 2) * tri
-        q += d * tri
-        t += d * (tri * (2 * kp + 1) // 3)
-        # _terms is the one square_sum holds at call time.
-        e = _square_sum._terms(x, y, x - 1 - k)[4]
-        two_x_s, rem = divmod(x * two_x_s - e, y)
-        if rem:
-            raise InternalInvariantError(f"2a*S(a,b;a-1-h) is not integral for {shown((x, y, k))}")
-        two_x_s += (
-            x * (k * (2 + 4 * kp - y * (x + 1 - k)) - 4 * q)
-            + x * (3 * x * x * y - x * x + 3 * x * y - 6 * x - 6 * y + 7) // 6
-        )
-        t, rem = divmod(
-            x * (k * kp * (x * kp + x + 2) - 2 * q - 2 * x * t)
-            - two_x_s
-            + y * y * (k * (k + 1) * (2 * k + 1) // 6),
-            2 * x * y,
-        )
-        if rem:
+        # The division step to (y,x;kp), then the reciprocity to (x,y;k).
+        squares = sum_squares(kp)
+        q, t, u = q + d * (kp * (kp + 1) // 2), t + d * squares, u + d * (2 * t + d * squares)
+        t_twice = kp * k * (k + 1) - u - q
+        if t_twice % 2:
             raise InternalInvariantError(f"T2 is not integral for {shown((x, y, k))}")
-        q = k * kp - q
+        q, t, u = k * kp - q, t_twice // 2, k * kp * kp - 2 * t + q
     t += q_top * sum_squares(m)
     if q_blocks:
         t += _blocks(a, b, q_blocks, m, q_top * (m * (m + 1) // 2) + q)

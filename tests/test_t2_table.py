@@ -1,11 +1,15 @@
 """The integer pass an untraced T2 call takes.
 
-``cross_sum._pass`` computes T2(a,b;h) in one pass up the T2 chain, carrying
-2a*S and Q alongside.  The traced ``t2`` walks the paper's chain and is the
-reference: the pass must equal it and its ``replay()`` at the top state and
-at every state the chain passes.  The facts the pass rests on are checked
-directly: ``_terms`` at the reflected bound a-1-h swaps to h' = floor(bh/a),
-and each level's divisions, by b for 2a*S and by 2ab for T2, are exact.
+``cross_sum._pass`` computes T2(a,b;h) in one pass up the T2 chain,
+carrying Q, T2 and T3 from level to level by the floor-sum reciprocity and
+one division step, with no S.  The traced ``t2`` walks the paper's chain
+and is the reference: the pass must equal it and its ``replay()`` at the
+top state and at every state the chain passes.  The pass's one exactness
+check, the parity of 2*T2, must turn a wrong sum into an
+``InternalInvariantError`` that names the state in one short line.
+
+``coprime_instance`` and ``levels`` are the seeded inputs and the chain of
+states that ``test_walk_memo`` uses too.
 """
 
 import math
@@ -14,17 +18,28 @@ from fractions import Fraction
 
 import pytest
 
-from floorsums import Instance, InternalInvariantError, floor_sum, square_sum, t2, t3, t3_alt
+from floorsums import (
+    Instance,
+    InternalInvariantError,
+    cross_sum,
+    floor_sum,
+    square_sum,
+    t2,
+    t3,
+    t3_alt,
+)
 from floorsums.cross_sum import _pass
 from floorsums.trace import RULE_RECIPROCITY, Trace
 
 
-def coprime_instance(bits, rng):
+def coprime_instance(bits, rng, b_periods=(0, 1), h_periods=(0, 3)):
+    """Seeded coprime a of the given bits, b in [b0*a, b1*a) and h in
+    [h0*a, h1*a), for (b0, b1) = b_periods and (h0, h1) = h_periods."""
     a = b = 0
     while math.gcd(a, b) != 1:
         a = rng.getrandbits(bits) | (1 << (bits - 1))
-        b = rng.randrange(1, a)
-    return a, b, rng.randrange(3 * a)
+        b = rng.randrange(max(1, b_periods[0] * a), b_periods[1] * a)
+    return a, b, rng.randrange(h_periods[0] * a, h_periods[1] * a)
 
 
 def levels(a, b, h):
@@ -94,7 +109,8 @@ def test_seeded_pairs(bits, checked):
 
 
 def test_terms_at_the_reflected_bound_swaps_to_h_prime():
-    # H = floor(bh/a) also where n1 = 0 mod b is promoted to b (H = b - 1).
+    # The S reciprocity at a-1-h swaps to the same h' = floor(bh/a) as T2's
+    # at h, also where n1 = 0 mod b is promoted to b (H = b - 1).
     promoted = 0
     for a in range(2, 60):
         for b in range(1, a):
@@ -107,38 +123,23 @@ def test_terms_at_the_reflected_bound_swaps_to_h_prime():
     assert promoted > 0
 
 
-def test_inexact_division_is_an_internal_error(monkeypatch):
-    # E + 1 leaves a*X' - E - 1 = -1 (mod b) at the first level the pass
-    # reaches, the bottom one.  With the threshold at 2^200, only levels
-    # whose a shown() names by bit length are off.
-    original = square_sum._terms
-    threshold = {"a": 0}
+def test_inexact_t2_division_is_an_internal_error(monkeypatch):
+    # One more in sum_{i<=h'} i^2 at a level with an odd quotient d moves
+    # 2*T2 by -d^2, an odd amount, so the halving of 2*T2 is inexact there.
+    # At (7, 2, 5) the one level has d = 3.  With the threshold at 2^200,
+    # only sums whose bound shown() names by bit length are off.
+    original = cross_sum.sum_squares
+    threshold = {"h": 0}
 
-    def off_by_one(a, b, h):
-        *head, e = original(a, b, h)
-        return (*head, e + (a > threshold["a"]))
+    def off_by_one(h):
+        return original(h) + (h > threshold["h"])
 
-    monkeypatch.setattr(square_sum, "_terms", off_by_one)
-    message = r"^2a\*S\(a,b;a-1-h\) is not integral for \(5, 2, 4\)$"
-    with pytest.raises(InternalInvariantError, match=message):
-        t2(5, 2, 4)
-    threshold["a"] = 2**200
+    monkeypatch.setattr(cross_sum, "sum_squares", off_by_one)
+    with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(7, 2, 5\)$"):
+        t2(7, 2, 5)
+    threshold["h"] = 2**200
     a, b, h = coprime_instance(512, random.Random(512))
-    with pytest.raises(InternalInvariantError, match=r"-bit int>") as raised:
+    message = r"^T2 is not integral for \(<\d+-bit int>, <\d+-bit int>, <\d+-bit int>\)$"
+    with pytest.raises(InternalInvariantError, match=message) as raised:
         t2(a, b, h % a)
     assert len(str(raised.value)) < 120
-
-
-def test_inexact_t2_division_is_an_internal_error(monkeypatch):
-    # E + 6b keeps the division by b exact and lowers 2a*S by 6, which
-    # leaves 2ab*T2 off by 6; 2ab >= 12 at every level, so the T2 division
-    # is inexact at the first level the pass reaches.
-    original = square_sum._terms
-
-    def off_by_six_b(a, b, h):
-        *head, e = original(a, b, h)
-        return (*head, e + 6 * b)
-
-    monkeypatch.setattr(square_sum, "_terms", off_by_six_b)
-    with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(5, 2, 4\)$"):
-        t2(5, 2, 4)

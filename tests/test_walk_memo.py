@@ -1,14 +1,14 @@
 """An untraced T2 call walks nothing.
 
 An untraced ``t2`` runs no nested S or floor-sum walk: it computes T2 in
-one integer pass up its chain, carrying 2a*S and Q along; a traced ``t2``
+one integer pass up its chain, carrying Q, T2 and T3 along; a traced ``t2``
 walks the paper's full chain and records every nested step.  The traced
 call is the reference: the untraced value must equal it and its
-``replay()``.  The pass must also save work: it makes exactly one S
-reciprocity step (one ``square_sum._terms`` evaluation) per T2 reciprocity
-level, at most the Euclid steps of (a, b), and no floor-sum reciprocity
-step, also when h >= a and the period rule needs Q(a,b;m).  Nothing of it
-outlives the call.
+``replay()``, for b < a and for a < b < 3a.  The pass must also do exactly
+its own work: no S reciprocity step (no ``square_sum._terms`` evaluation),
+no floor-sum reciprocity step, also when h >= a and the period rule needs
+Q(a,b;m), and one sum of squares per T2 reciprocity level plus one for the
+top state's division step.
 """
 
 import functools
@@ -18,36 +18,18 @@ import random
 
 import pytest
 
-from floorsums import square_sum, t2, t3, t3_alt
-from floorsums.trace import RULE_RECIPROCITY, Trace, euclid_steps
+from floorsums import cross_sum, square_sum, t2, t3, t3_alt
+from floorsums.trace import RULE_RECIPROCITY, Trace
+from test_t2_table import coprime_instance, levels
 
 # The package attribute floorsums.floor_sum is the function.
 floor_sum = importlib.import_module("floorsums.floor_sum")
 
 
-def coprime_instance(bits, past_the_period=False):
-    # h < a, or a <= h < 3a so that the period rule runs first.
-    rng = random.Random(bits)
-    a = b = 0
-    while math.gcd(a, b) != 1:
-        a = rng.getrandbits(bits) | (1 << (bits - 1))
-        b = rng.randrange(1, a)
-    return a, b, a + rng.randrange(2 * a) if past_the_period else rng.randrange(a)
-
-
-def t2_levels(a, b, h):
-    """Number of T2 reciprocity steps of coprime (a, b) and h, a >= 2."""
-    n = 0
-    b, h = b % a, h % a
-    while h and b > 1:
-        a, b, h = b, a % b, b * h // a
-        n += 1
-    return n
-
-
 def step_calls(monkeypatch, call):
-    """(value, S reciprocity steps, floor-sum reciprocity steps) of call()."""
-    calls = {"_terms": 0, "_reciprocity": 0}
+    """(value, S reciprocity steps, floor-sum reciprocity steps, cross_sum's
+    sum_squares calls) of call()."""
+    calls = {"_terms": 0, "_reciprocity": 0, "sum_squares": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -61,8 +43,9 @@ def step_calls(monkeypatch, call):
     with monkeypatch.context() as patch:
         patch.setattr(square_sum, "_terms", counted(square_sum, "_terms"))
         patch.setattr(floor_sum, "_reciprocity", counted(floor_sum, "_reciprocity"))
+        patch.setattr(cross_sum, "sum_squares", counted(cross_sum, "sum_squares"))
         value = call()
-    return value, calls["_terms"], calls["_reciprocity"]
+    return value, calls["_terms"], calls["_reciprocity"], calls["sum_squares"]
 
 
 @functools.cache
@@ -92,13 +75,13 @@ def test_level_count_matches_the_traced_chain():
                 trace = Trace()
                 t2(a, b, h, trace)
                 swaps = sum(step.rule == RULE_RECIPROCITY for step in trace.steps)
-                assert t2_levels(a, b, h) == swaps, (a, b, h)
+                assert len(levels(a, b, h)) == swaps, (a, b, h)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_untraced_t2_equals_traced_on_seeded_pairs(bits):
     # The traced t2 at 1024 bits walks the paper's O(log^2) chain: about 20 s.
-    a, b, h = coprime_instance(bits)
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
     value, replayed = traced_t2(a, b, h)
     assert t2(a, b, h) == value == replayed, (a, b, h)
     assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
@@ -106,34 +89,37 @@ def test_untraced_t2_equals_traced_on_seeded_pairs(bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_untraced_t2_equals_traced_past_the_period(bits):
-    a, b, h = coprime_instance(bits, past_the_period=True)
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
+    value, replayed = traced_t2(a, b, h)
+    assert t2(a, b, h) == value == replayed, (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+def test_untraced_t2_equals_traced_for_b_above_a(bits, h_periods):
+    # The pass's top division step, b >= a, on a seeded pair.
+    a, b, h = coprime_instance(bits, random.Random(bits), (1, 3), h_periods)
     value, replayed = traced_t2(a, b, h)
     assert t2(a, b, h) == value == replayed, (a, b, h)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_period_q_walk_shares_the_memo(bits, monkeypatch):
-    # The pass gives the period rule's Q(a,b;m) too: one S step per level
-    # and no floor-sum step.
-    a, b, h = coprime_instance(bits, past_the_period=True)
-    _, s_steps, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert s_steps == t2_levels(a, b, h) <= euclid_steps(a, b), (s_steps, euclid_steps(a, b))
-    assert q_steps == 0
+    # The pass gives the period rule's Q(a,b;m) too: no S or floor-sum step,
+    # and one sum of squares per level, one for the top state's division
+    # step and two for the period rule (its block sum and the period term).
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
+    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert (s_steps, q_steps) == (0, 0)
+    assert squares == len(levels(a, b, h)) + 3
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
 def test_memo_saves_most_s_reciprocity_steps(bits, monkeypatch):
     # The paper's chain makes O(levels^2) S steps (46,971 traced at 512
-    # bits); the pass makes one per level.
-    a, b, h = coprime_instance(bits)
-    _, s_steps, q_steps = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert s_steps == t2_levels(a, b, h) <= euclid_steps(a, b), (s_steps, euclid_steps(a, b))
-    assert q_steps == 0
-
-
-def test_no_memo_outlives_a_call(monkeypatch):
-    a, b, h = coprime_instance(256)
-    first = step_calls(monkeypatch, lambda: t2(a, b, h))
-    second = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert first == second
-    assert first[1] > 0
+    # bits); the pass makes none, and one sum of squares per level plus
+    # one for the top state's division step.
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
+    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert (s_steps, q_steps) == (0, 0)
+    assert squares == len(levels(a, b, h)) + 1
