@@ -205,8 +205,8 @@ def cmd_verify(args) -> int:
     single = args.a is not None or args.b is not None or args.h is not None
     if single and None in (args.a, args.b, args.h):
         raise InvalidArgumentError("single-instance verify needs --a, --b and --h")
-    if single and args.max is not None:
-        raise InvalidArgumentError("give either --a/--b/--h or --max, not both")
+    if single and (args.max is not None or args.h_grid is not None):
+        raise InvalidArgumentError("give either --a/--b/--h or --max and --h-grid, not both")
     if not single and args.max is None:
         raise InvalidArgumentError("verify needs --a/--b/--h or --max")
     if args.max is not None and args.max < 2:
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("bench", help="scaling benchmark of the fast paths")
+    p = sub.add_parser("bench", help="scaling benchmark of traced t1 and t2")
     p.add_argument("--bits", default="32,64,128", help="comma-separated bit sizes")
     p.add_argument("--reps", type=_int_arg, default=3)
     p.add_argument("--seed", type=_int_arg, default=0)

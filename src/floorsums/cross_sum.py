@@ -27,8 +27,9 @@ steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
-Untraced, ``_walk`` runs none of these walks: ``_pass`` computes the same
-value in one integer pass up the chain, carrying Q, T2 and T3 and no S.  For
+Untraced, ``_walk`` runs none of these walks: ``_sums`` goes once up the
+chain in integers, carrying Q, T2 and T3 and no S, and serves both ``t2``
+(through ``_pass``) and ``t3_alt``.  For
 a reciprocity state (a, b, h), coprime a > b >= 2 and 1 <= h < a, write
 h' = floor(bh/a), f_j = floor(ja/b) and Q', T2', T3' for the sums of
 (b, a; h').  Count the lattice points (i, j) with i <= h and
@@ -50,9 +51,10 @@ sums over i <= h' change by
 
 with T2 in the last update taken before the step.  At the bottom of the
 chain h' = 0 or a mod b = 1, and all three sums are 0.  The only exactness
-check is the parity of 2*T2.  The top state's division step gives
-T2(a,b;m) and Q(a,b;m), and for h >= a the block formula of the period
-rule adds the full periods from that Q.
+check is the parity of 2*T2.  The top state's division step, from
+(a, b mod a; m) to (a, b; m), gives all three sums of (a,b;m); for h >= a,
+``_pass`` adds the full periods to that T2 by the block formula of the
+period rule, from that Q.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -67,11 +69,12 @@ The formula, stated for b < a, holds as written for b > a: the quotients
 then begin 0, b//a, which adds 2 to t and -b//a to the sum, and
 a*(-(b//a)) + b = b mod a.  A direct t2(a, b, a-1) does not use the
 formula: traced, it walks the paper's chain, and untraced it is one pass up
-that chain, as is every T2 that t3_alt takes, which thereby cross-checks
-the formula.
+that chain.
 
-T3 follows from T1 and T2, with an independent second route (t3_alt) used
-for cross-validation.
+t3 follows from T1 and T2.  t3_alt is an independent second route used for
+cross-validation: it takes T3 and Q of (a,b;h mod a) and, for h >= a, the
+full periods' T3(a,b;a-1) from ``_sums``, that is from the chain and never
+from the formula, so that t3 == t3_alt cross-checks the formula too.
 """
 
 from fractions import Fraction
@@ -153,12 +156,9 @@ def _period(a, b, q_blocks, m, sink):
     return _blocks(a, b, q_blocks, m, _floor_walk(a, b, m, sink))
 
 
-def _pass(a, b, h):
-    # T2(a,b;h), untraced, in one integer pass up the chain (see the module
-    # docstring).
-    if a == 1:
-        return b * sum_squares(h)
-    q_blocks, m = divmod(h, a)
+def _sums(a, b, m):
+    # (Q, T2, T3) of (a,b;m) for coprime a >= 2 and 0 <= m < a, in one integer
+    # pass up the chain (see the module docstring).
     q_top, y = divmod(b, a)
     x, k = a, m
     levels = []
@@ -177,10 +177,19 @@ def _pass(a, b, h):
         if t_twice % 2:
             raise InternalInvariantError(f"T2 is not integral for {shown((x, y, k))}")
         q, t, u = k * kp - q, t_twice // 2, k * kp * kp - 2 * t + q
-    t += q_top * sum_squares(m)
-    if q_blocks:
-        t += _blocks(a, b, q_blocks, m, q_top * (m * (m + 1) // 2) + q)
-    return t
+    # The top state's division step, from (a, b mod a; m) to (a,b;m).
+    squares = sum_squares(m)
+    return q + q_top * (m * (m + 1) // 2), t + q_top * squares, u + q_top * (2 * t + q_top * squares)
+
+
+def _pass(a, b, h):
+    # T2(a,b;h), untraced: the chain's T2 of (a,b;h mod a) and, for h >= a,
+    # the full periods from its Q.
+    if a == 1:
+        return b * sum_squares(h)
+    q_blocks, m = divmod(h, a)
+    q, t, _ = _sums(a, b, m)
+    return t + _blocks(a, b, q_blocks, m, q) if q_blocks else t
 
 
 def _walk(a, b, h, trace=None):
@@ -222,33 +231,27 @@ def t3(a: int, b: int, h: int) -> int:
     return _t3(a, b, h, t1(a, b, h), t2(a, b, h))
 
 
-def _t3_direct(a, b, h):
-    # T3 = h*h'^2 - 2*T2(b,a;h') + Q(b,a;h'); valid for coprime a > b, h < a
-    # (for i <= h < a, ib/a is never an integer, which the counting needs).
-    hp = b * h // a
-    return h * hp * hp - 2 * _walk(b, a, hp) + _floor_walk(b, a, hp)
-
-
 def t3_alt(a: int, b: int, h: int) -> int:
     """T3 by a route independent of the T1/T2 relation; cross-validates t3.
 
     Requires a > b >= 1 after canonicalization.  For h >= a, splits
-    i = ja + t so each piece stays in the h < a regime of the direct route.
+    i = ja + t, so that the full periods take T3(a,b;a-1) and the tail
+    T3(a,b;h mod a) and Q(a,b;h mod a), all from the pass up the T2 chain.
     """
     a, b, h = _canonical(a, b, h)
     if not a > b >= 1:
         raise InvalidArgumentError(f"t3_alt needs a > b >= 1, got {shown((a, b))}")
-    if h < a:
-        return _t3_direct(a, b, h)
     q_blocks, m = divmod(h, a)
-    t3_a = _t3_direct(a, b, a - 1) + b * b
-    fm = _floor_walk(a, b, m)
+    fm, _, t3_m = _sums(a, b, m)
+    if not q_blocks:
+        return t3_m
+    t3_a = _sums(a, b, a - 1)[2] + b * b
     full = (
         a * b * b * sum_squares(q_blocks - 1)
         + 2 * b * _full_period(a, b) * (q_blocks * (q_blocks - 1) // 2)
         + q_blocks * t3_a
     )
-    tail = m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm + _t3_direct(a, b, m)
+    tail = m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm + t3_m
     return full + tail
 
 

@@ -285,6 +285,11 @@ class TestVerify:
         assert run(capsys, "verify", "--a", "7")[0] == 2
         assert run(capsys, "verify")[0] == 2
 
+    def test_h_grid_with_a_single_instance_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--a", "5", "--b", "3", "--h", "4", "--h-grid", "a")
+        assert (code, out) == (2, "")
+        assert "--h-grid" in err
+
     def test_zero_divisor_in_h_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--max", "5", "--h-grid", "a//0")
         assert code == 2

@@ -109,6 +109,20 @@ class TestReciprocityTerms:
         for a, b, h in cases:
             assert 6 * square_sum._terms(a, b, h)[4] == expanded(a, b, h), (a, b, h)
 
+    def test_terms_at_the_reflected_bound_swaps_to_h_prime(self):
+        # The S reciprocity at a-1-h swaps to the same h' = floor(bh/a) as T2's
+        # at h, also where n1 = 0 mod b is promoted to b (H = b - 1).
+        promoted = 0
+        for a in range(2, 60):
+            for b in range(1, a):
+                if math.gcd(a, b) != 1:
+                    continue
+                for h in range(a):
+                    n0, n, n1, big_h, _ = square_sum._terms(a, b, a - 1 - h)
+                    assert big_h == b * h // a, (a, b, h)
+                    promoted += n1 == b
+        assert promoted > 0
+
 
 class TestSValue:
     def test_paper_values(self):

@@ -1,17 +1,17 @@
-"""The integer pass an untraced T2 call takes.
+"""The integer pass up the T2 chain that untraced ``t2`` and ``t3_alt`` take.
 
-``cross_sum._pass`` computes T2(a,b;h) in one pass up the T2 chain,
-carrying Q, T2 and T3 from level to level by the floor-sum reciprocity and
-one division step, with no S.  The traced ``t2`` walks the paper's chain
-and is the reference: the pass must equal it and its ``replay()`` at the
-top state and at every state the chain passes.  The pass's one exactness
-check, the parity of 2*T2, must turn a wrong sum into an
-``InternalInvariantError`` that names the state in one short line.
-
-``coprime_instance`` and ``levels`` are the seeded inputs and the chain of
-states that ``test_walk_memo`` uses too.
+``cross_sum._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
+T2 chain, carrying the three sums from level to level by the floor-sum
+reciprocity and one division step, with no S; ``cross_sum._pass`` adds the
+full periods for h >= a.  The traced ``t2`` walks the paper's chain and is
+the reference: the pass must equal it and its ``replay()`` at the top state
+and at every state the chain passes, and the pass's Q and T3 must equal
+``floor_sum`` and ``t3`` at the top state and at every reciprocity state.
+The pass's one exactness check, the parity of 2*T2, must turn a wrong sum
+into an ``InternalInvariantError`` that names the state in one short line.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -23,47 +23,39 @@ from floorsums import (
     InternalInvariantError,
     cross_sum,
     floor_sum,
-    square_sum,
     t2,
     t3,
     t3_alt,
 )
-from floorsums.cross_sum import _pass
+from floorsums.cross_sum import _pass, _sums
 from floorsums.trace import RULE_RECIPROCITY, Trace
+from t2_chain import coprime_instance, levels
 
 
-def coprime_instance(bits, rng, b_periods=(0, 1), h_periods=(0, 3)):
-    """Seeded coprime a of the given bits, b in [b0*a, b1*a) and h in
-    [h0*a, h1*a), for (b0, b1) = b_periods and (h0, h1) = h_periods."""
-    a = b = 0
-    while math.gcd(a, b) != 1:
-        a = rng.getrandbits(bits) | (1 << (bits - 1))
-        b = rng.randrange(max(1, b_periods[0] * a), b_periods[1] * a)
-    return a, b, rng.randrange(h_periods[0] * a, h_periods[1] * a)
-
-
-def levels(a, b, h):
-    """The reciprocity states (a, b, h) of the T2 chain of coprime (a, b), h."""
-    states = []
-    b, h = b % a, h % a
-    while h and b > 1:
-        states.append((a, b, h))
-        a, b, h = b, a % b, b * h // a
-    return states
+@functools.cache
+def check_sums(a, b, m):
+    """The pass's Q and T3 of (a, b; m) equal floor_sum and t3."""
+    q, _, u = _sums(a, b, m)
+    assert (q, u) == (floor_sum(Instance(a, b, m)), t3(a, b, m)), (a, b, m)
 
 
 def check_chain(a, b, h):
     """The pass equals traced t2 and its replay() at (a, b, h), and at every
-    state its chain passes.  The value at a step's entry state is what is
-    left of the replay there, over the coefficient the walk carries."""
+    state its chain passes; its Q and T3 equal floor_sum and t3 at the top
+    state and at every reciprocity state.  The value at a step's entry state
+    is what is left of the replay there, over the coefficient the walk
+    carries."""
     trace = Trace()
     value = t2(a, b, h, trace)
     assert _pass(a, b, h) == value == trace.replay(), (a, b, h)
+    if a >= 2:
+        check_sums(a, b, h % a)
     rest, coef = trace.replay(), Fraction(1)
     for step in trace.steps:
         assert _pass(step.a, step.b, step.h) == rest / coef, (a, b, h, step.rule, step.a, step.b, step.h)
         rest -= step.contribution
         if step.rule == RULE_RECIPROCITY:
+            check_sums(step.a, step.b, step.h)
             coef *= Fraction(-step.a, step.b)
     assert rest == 0
 
@@ -91,8 +83,8 @@ def test_seeded_pairs(bits, checked):
     # A traced t2 grows as bits^3 (about 2 s at 512 bits), so the states
     # sampled for a traced chain of their own are those of at most 128 bits
     # (all of them at 64 bits).  Up to 512 bits the top state's traced chain
-    # checks every state; at 2048 bits t3 and t3_alt, which take T2 by
-    # different chains, and the reflection h <-> a-1-h check the top.
+    # checks every state; at 2048 bits t3 and t3_alt, which take T3 by
+    # different routes, and the reflection h <-> a-1-h check the top.
     rng = random.Random(bits)
     a, b, h = coprime_instance(bits, rng)
     h = max(h, a)
@@ -106,21 +98,6 @@ def test_seeded_pairs(bits, checked):
     m = h % a
     expected = (b - 1) * (a * m - m * (m + 1) // 2) - a * floor_sum(Instance(a, b, m)) + t2(a, b, m)
     assert t2(a, b, a) - a * b - t2(a, b, a - 1 - m) == expected
-
-
-def test_terms_at_the_reflected_bound_swaps_to_h_prime():
-    # The S reciprocity at a-1-h swaps to the same h' = floor(bh/a) as T2's
-    # at h, also where n1 = 0 mod b is promoted to b (H = b - 1).
-    promoted = 0
-    for a in range(2, 60):
-        for b in range(1, a):
-            if math.gcd(a, b) != 1:
-                continue
-            for h in range(a):
-                n0, n, n1, big_h, _ = square_sum._terms(a, b, a - 1 - h)
-                assert big_h == b * h // a, (a, b, h)
-                promoted += n1 == b
-    assert promoted > 0
 
 
 def test_inexact_t2_division_is_an_internal_error(monkeypatch):
