@@ -2,7 +2,8 @@
 
 All numeric I/O is decimal strings (rationals as "num/den" in lowest terms)
 so values survive JSON consumers bit-exactly.  Exit codes: 0 ok, 1
-verification mismatch, 2 invalid input.
+verification mismatch, 2 invalid input, 141 output pipe closed by its reader
+(as a shell reports a process that SIGPIPE ended).
 """
 
 import argparse
@@ -10,6 +11,7 @@ import ast
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -365,10 +367,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Looked up at call time, so a replaced cmd_* is the one that runs.
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped early (say `| head -n 1`).  Output still buffered
+        # goes to devnull, so that the interpreter's last flush cannot fail
+        # again; no signal handler is installed, since callers may run main
+        # in their own process.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -27,16 +27,15 @@ steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
-Untraced, ``_walk`` runs none of these walks: ``_sums`` goes once up the
-chain in integers, carrying Q, T2 and T3 and no S, and serves both ``t2``
-(through ``_pass``) and ``t3_alt``.  For
-a reciprocity state (a, b, h), coprime a > b >= 2 and 1 <= h < a, write
-h' = floor(bh/a), f_j = floor(ja/b) and Q', T2', T3' for the sums of
-(b, a; h').  Count the lattice points (i, j) with i <= h and
-1 <= j <= floor(ib/a) by columns and by rows.  Row j holds the i with
-f_j < i <= h for 1 <= j <= h', because ja/b is never an integer there: a
-and b are coprime and h' < b.  Weighting each point by 1, by i and by
-2j-1 gives sum_j (h - f_j), sum_j (h(h+1) - f_j(f_j+1))/2 and
+Untraced, ``t2`` runs none of these walks: it calls ``_sums``, which goes
+once up the chain in integers, carrying Q, T2 and T3 and no S, and which
+serves ``t3_alt`` too.  For a reciprocity state (a, b, h), coprime
+a > b >= 2 and 1 <= h < a, write h' = floor(bh/a), f_j = floor(ja/b) and
+Q', T2', T3' for the sums of (b, a; h').  Count the lattice points (i, j)
+with i <= h and 1 <= j <= floor(ib/a) by columns and by rows.  Row j holds
+the i with f_j < i <= h for 1 <= j <= h', because ja/b is never an integer
+there: a and b are coprime and h' < b.  Weighting each point by 1, by i and
+by 2j-1 gives sum_j (h - f_j), sum_j (h(h+1) - f_j(f_j+1))/2 and
 sum_j (2j-1)(h - f_j), that is
 
     Q(a,b;h)    = h*h' - Q',
@@ -53,8 +52,8 @@ with T2 in the last update taken before the step.  At the bottom of the
 chain h' = 0 or a mod b = 1, and all three sums are 0.  The only exactness
 check is the parity of 2*T2.  The top state's division step, from
 (a, b mod a; m) to (a, b; m), gives all three sums of (a,b;m); for h >= a,
-``_pass`` adds the full periods to that T2 by the block formula of the
-period rule, from that Q.
+``t2`` adds the full periods to that T2 by the block formula of the period
+rule, from that Q.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -157,7 +156,7 @@ def _period(a, b, q_blocks, m, sink):
 
 
 def _sums(a, b, m):
-    # (Q, T2, T3) of (a,b;m) for coprime a >= 2 and 0 <= m < a, in one integer
+    # (Q, T2, T3) of (a,b;m) for coprime a >= 1 and 0 <= m < a, in one integer
     # pass up the chain (see the module docstring).
     q_top, y = divmod(b, a)
     x, k = a, m
@@ -182,27 +181,19 @@ def _sums(a, b, m):
     return q + q_top * (m * (m + 1) // 2), t + q_top * squares, u + q_top * (2 * t + q_top * squares)
 
 
-def _pass(a, b, h):
-    # T2(a,b;h), untraced: the chain's T2 of (a,b;h mod a) and, for h >= a,
-    # the full periods from its Q.
-    if a == 1:
-        return b * sum_squares(h)
-    q_blocks, m = divmod(h, a)
-    q, t, _ = _sums(a, b, m)
-    return t + _blocks(a, b, q_blocks, m, q) if q_blocks else t
-
-
-def _walk(a, b, h, trace=None):
-    if trace is None:
-        return _pass(a, b, h)
-    value = walk(a, b, h, trace, _division, _reciprocity, _period, _unit)
-    return exact_int(value, "T2", a, b, h)
-
-
 def t2(a: int, b: int, h: int, trace=None) -> int:
     """Exact T2(a,b;h) = sum_{i=1..h} i*floor(ib/a) (canonical (a,b))."""
     a, b, h = _canonical(a, b, h)
-    return _walk(a, b, h, trace)
+    if trace is not None:
+        value = walk(a, b, h, trace, _division, _reciprocity, _period, _unit)
+        return exact_int(value, "T2", a, b, h)
+    if a == 1:
+        return b * sum_squares(h)
+    # The chain's T2 of (a,b;h mod a) and, for h >= a, the full periods from
+    # its Q.
+    q_blocks, m = divmod(h, a)
+    q, t, _ = _sums(a, b, m)
+    return t + _blocks(a, b, q_blocks, m, q) if q_blocks else t
 
 
 def _t3(a, b, h, t1_value, t2_value):
@@ -234,25 +225,23 @@ def t3(a: int, b: int, h: int) -> int:
 def t3_alt(a: int, b: int, h: int) -> int:
     """T3 by a route independent of the T1/T2 relation; cross-validates t3.
 
-    Requires a > b >= 1 after canonicalization.  For h >= a, splits
-    i = ja + t, so that the full periods take T3(a,b;a-1) and the tail
-    T3(a,b;h mod a) and Q(a,b;h mod a), all from the pass up the T2 chain.
+    Takes every (a, b, h) that t3 takes, b >= a and a = 1 included.  For
+    h >= a, splits i = ja + t, so that the full periods take T3(a,b;a-1) and
+    the tail T3(a,b;h mod a) and Q(a,b;h mod a), all from the pass up the T2
+    chain.
     """
     a, b, h = _canonical(a, b, h)
-    if not a > b >= 1:
-        raise InvalidArgumentError(f"t3_alt needs a > b >= 1, got {shown((a, b))}")
     q_blocks, m = divmod(h, a)
     fm, _, t3_m = _sums(a, b, m)
     if not q_blocks:
         return t3_m
-    t3_a = _sums(a, b, a - 1)[2] + b * b
-    full = (
+    # The full periods, with T3(a,b;a) = T3(a,b;a-1) + b^2, then the tail.
+    return (
         a * b * b * sum_squares(q_blocks - 1)
         + 2 * b * _full_period(a, b) * (q_blocks * (q_blocks - 1) // 2)
-        + q_blocks * t3_a
+        + q_blocks * (_sums(a, b, a - 1)[2] + b * b)
+        + m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm + t3_m
     )
-    tail = m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm + t3_m
-    return full + tail
 
 
 # The report's nine targets, in SumReport's field order: each compute key, its

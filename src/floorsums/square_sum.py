@@ -169,7 +169,11 @@ def _walk_t1(a, b, h, trace=None):
 
 
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:
-    """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S."""
+    """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S.
+
+    A trace gets the S(a,b;h) walk, then the Q(a,b;h) walk, so its replay()
+    is S + Q, not T1.
+    """
     a, b, h = _canonical(a, b, h)
     return _walk_t1(a, b, h, trace)
 

@@ -2,7 +2,9 @@ import dataclasses
 import importlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -194,6 +196,24 @@ class TestCompute:
         assert code == 0
         assert "q = 4" in out
         assert "t1 = 6/5" in out
+
+    def test_closed_pipe_exits_141_with_an_empty_stderr(self, capsys):
+        # A reader that stops after one line, as `| head -n 1` does, while the
+        # 256-bit traced t2 still has about 11 MB of text to write.
+        rng = random.Random(256)
+        a = rng.getrandbits(256) | 1 << 255
+        argv = ["compute", "--a", str(a), "--b", str(rng.randrange(1, a)), "--h", str(rng.randrange(a)),
+                "--targets", "t2", "--format", "text", "--trace"]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen([sys.executable, "-m", "floorsums.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
+        # The same first line as the untraced text, which the trace follows.
+        assert first.decode().rstrip("\n") == run(capsys, *argv[:-1])[1].splitlines()[0]
 
     def test_invalid_input_exits_2(self, capsys):
         assert run(capsys, "compute", "--a", "0", "--b", "3", "--h", "4")[0] == 2

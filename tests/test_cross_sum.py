@@ -97,8 +97,8 @@ class TestT3:
                 fn(True, 1, 2)
 
     def test_t3_alt_precondition(self):
-        with pytest.raises(InvalidArgumentError):
-            t3_alt(3, 7, 2)
+        # t3_alt has t3's precondition only: b > a is answered.
+        assert t3_alt(3, 7, 2) == oracle_report(Instance(3, 7, 2)).t3 == 20
 
     def test_routes_agree(self):
         for a in range(3, 25):

@@ -18,6 +18,7 @@ from floorsums import (
     four_var_count,
     nonrep_count,
     nonrep_sum,
+    oracle_report,
     reciprocity_terms,
     remainder_square_sum,
     s_value,
@@ -41,7 +42,7 @@ OUT_OF_DOMAIN = [
     ("t1", lambda: t1(5, -N, 4)),
     ("t2", lambda: t2(5, 3, -N)),
     ("t3", lambda: t3(-N, 3, 4)),
-    ("t3_alt", lambda: t3_alt(1, N, 4)),
+    ("t3_alt", lambda: t3_alt(1, N, -1)),
     ("remainder_square_sum", lambda: remainder_square_sum(5, 3, -N)),
     ("reciprocity_terms", lambda: reciprocity_terms(N, N + 2, 4)),
     ("t2_reciprocity_rhs", lambda: t2_reciprocity_rhs(N, N + 1, 4)),
@@ -59,6 +60,11 @@ def test_long_argument_gets_a_short_invalid_argument_error(name, call):
     with pytest.raises(expected) as exc:
         call()
     assert len(str(exc.value)) < 200, str(exc.value)[:200]
+
+
+def test_t3_alt_answers_a_equals_one_at_any_size():
+    # a = 1 and b past the digit limit: t3_alt answers, and only a bad h is refused.
+    assert t3_alt(1, N, 4) == oracle_report(Instance(1, N, 4)).t3 == 30 * N * N
 
 
 def test_long_non_integral_value_gets_an_internal_invariant_error():

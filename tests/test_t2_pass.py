@@ -1,0 +1,282 @@
+"""The integer pass up the T2 chain that untraced ``t2`` and ``t3_alt`` take.
+
+``cross_sum._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
+T2 chain, carrying the three sums from level to level by the floor-sum
+reciprocity and one division step, with no S; an untraced ``t2`` adds the
+full periods for h >= a.  A traced ``t2`` walks the paper's full chain and
+records every nested step, and it is the reference: the untraced value must
+equal it and its ``replay()``, at the top state and at every state the
+chain passes, for b < a and for a < b < 3a.  The pass's Q and T3 must equal
+``floor_sum`` and ``t3`` at the top state and at every reciprocity state.
+
+The pass must also do exactly its own work: no S reciprocity step (no
+``square_sum._terms`` evaluation), no floor-sum reciprocity step, also when
+h >= a and the period rule needs Q(a,b;m), and one sum of squares per T2
+reciprocity level plus one for the top state's division step.  ``t3_alt``
+takes all it needs from the same pass: no S or floor-sum step, and never
+the period term's Dedekind-sum formula, which ``t3`` past the period uses.
+The pass's one exactness check, the parity of 2*T2, must turn a wrong sum
+into an ``InternalInvariantError`` that names the state in one short line.
+"""
+
+import functools
+import importlib
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from floorsums import Instance, InternalInvariantError, cross_sum, floor_sum, square_sum, t2, t3, t3_alt
+from floorsums.cross_sum import _sums
+from floorsums.trace import RULE_RECIPROCITY, Trace
+
+# The package attribute floorsums.floor_sum is the function, not the module.
+floor_sum_module = importlib.import_module("floorsums.floor_sum")
+
+
+def coprime_instance(bits, rng, b_periods=(0, 1), h_periods=(0, 3)):
+    """Seeded coprime a of the given bits, b in [b0*a, b1*a) and h in
+    [h0*a, h1*a), for (b0, b1) = b_periods and (h0, h1) = h_periods."""
+    a = b = 0
+    while math.gcd(a, b) != 1:
+        a = rng.getrandbits(bits) | (1 << (bits - 1))
+        b = rng.randrange(max(1, b_periods[0] * a), b_periods[1] * a)
+    return a, b, rng.randrange(h_periods[0] * a, h_periods[1] * a)
+
+
+def levels(a, b, h):
+    """The reciprocity states (a, b, h) of the T2 chain of coprime (a, b), h."""
+    states = []
+    b, h = b % a, h % a
+    while h and b > 1:
+        states.append((a, b, h))
+        a, b, h = b, a % b, b * h // a
+    return states
+
+
+def step_calls(monkeypatch, call):
+    """(value, S reciprocity steps, floor-sum reciprocity steps, cross_sum's
+    sum_squares calls) of call()."""
+    calls = {"_terms": 0, "_reciprocity": 0, "sum_squares": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(square_sum, "_terms", counted(square_sum, "_terms"))
+        patch.setattr(floor_sum_module, "_reciprocity", counted(floor_sum_module, "_reciprocity"))
+        patch.setattr(cross_sum, "sum_squares", counted(cross_sum, "sum_squares"))
+        value = call()
+    return value, calls["_terms"], calls["_reciprocity"], calls["sum_squares"]
+
+
+@functools.cache
+def traced_t2(a, b, h):
+    trace = Trace()
+    return t2(a, b, h, trace), trace.replay()
+
+
+@functools.cache
+def check_sums(a, b, m):
+    """The pass's Q and T3 of (a, b; m) equal floor_sum and t3."""
+    q, _, u = _sums(a, b, m)
+    assert (q, u) == (floor_sum(Instance(a, b, m)), t3(a, b, m)), (a, b, m)
+
+
+def check_chain(a, b, h):
+    """Untraced t2 equals traced t2 and its replay() at (a, b, h), and at
+    every state its chain passes; the pass's Q and T3 equal floor_sum and t3
+    at the top state and at every reciprocity state.  The value at a step's
+    entry state is what is left of the replay there, over the coefficient
+    the walk carries."""
+    trace = Trace()
+    value = t2(a, b, h, trace)
+    assert t2(a, b, h) == value == trace.replay(), (a, b, h)
+    if a >= 2:
+        check_sums(a, b, h % a)
+    rest, coef = trace.replay(), Fraction(1)
+    for step in trace.steps:
+        assert t2(step.a, step.b, step.h) == rest / coef, (a, b, h, step.rule, step.a, step.b, step.h)
+        rest -= step.contribution
+        if step.rule == RULE_RECIPROCITY:
+            check_sums(step.a, step.b, step.h)
+            coef *= Fraction(-step.a, step.b)
+    assert rest == 0
+
+
+def test_untraced_t2_equals_traced_on_small_grid():
+    for a in range(1, 40):
+        for b in range(2 * a):
+            if math.gcd(a, b) != 1:
+                continue
+            for h in sorted({0, 1, a // 2, a - 1, a, 2 * a + 3}):
+                value, replayed = traced_t2(a, b, h)
+                assert t2(a, b, h) == value == replayed, (a, b, h)
+                assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
+
+
+def test_level_count_matches_the_traced_chain():
+    for a in range(2, 40):
+        for b in range(1, 2 * a):
+            if math.gcd(a, b) != 1:
+                continue
+            for h in sorted({1, a // 2, a - 1, a, 2 * a + 3}):
+                trace = Trace()
+                t2(a, b, h, trace)
+                swaps = sum(step.rule == RULE_RECIPROCITY for step in trace.steps)
+                assert len(levels(a, b, h)) == swaps, (a, b, h)
+
+
+def test_every_entry_on_the_small_grid():
+    for a in range(2, 50):
+        for b in range(1, a):
+            if math.gcd(a, b) != 1:
+                continue
+            for h in range(a):
+                check_chain(a, b, h)
+
+
+def test_every_entry_past_the_period_and_for_b_above_a():
+    for a in range(1, 16):
+        for b in range(3 * a):
+            if math.gcd(a, b) != 1:
+                continue
+            for h in range(a, 3 * a + 2):
+                check_chain(a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
+def test_untraced_t2_equals_traced_on_seeded_pairs(bits):
+    # The traced t2 at 1024 bits walks the paper's O(log^2) chain: about 20 s.
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
+    value, replayed = traced_t2(a, b, h)
+    assert t2(a, b, h) == value == replayed, (a, b, h)
+    assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_untraced_t2_equals_traced_past_the_period(bits):
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
+    value, replayed = traced_t2(a, b, h)
+    assert t2(a, b, h) == value == replayed, (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+def test_untraced_t2_equals_traced_for_b_above_a(bits, h_periods):
+    # The pass's top division step, b >= a, on a seeded pair.
+    a, b, h = coprime_instance(bits, random.Random(bits), (1, 3), h_periods)
+    value, replayed = traced_t2(a, b, h)
+    assert t2(a, b, h) == value == replayed, (a, b, h)
+    assert t3(a, b, h) == t3_alt(a, b, h), (a, b, h)
+
+
+@pytest.mark.parametrize("bits, checked", [(64, None), (512, 40), (2048, 4)])
+def test_seeded_pairs(bits, checked):
+    # A traced t2 grows as bits^3 (about 2 s at 512 bits), so the states
+    # sampled for a traced chain of their own are those of at most 128 bits
+    # (all of them at 64 bits).  Up to 512 bits the top state's traced chain
+    # checks every state; at 2048 bits t3 and t3_alt, which take T3 by
+    # different routes, and the reflection h <-> a-1-h check the top.
+    rng = random.Random(bits)
+    a, b, h = coprime_instance(bits, rng)
+    h = max(h, a)
+    deep = [state for state in levels(a, b, h) if state[0].bit_length() <= 128]
+    for state in deep if checked is None else rng.sample(deep, checked):
+        check_chain(*state)
+    if bits <= 512:
+        check_chain(a, b, h)
+        return
+    assert t3(a, b, h) == t3_alt(a, b, h)
+    m = h % a
+    expected = (b - 1) * (a * m - m * (m + 1) // 2) - a * floor_sum(Instance(a, b, m)) + t2(a, b, m)
+    assert t2(a, b, a) - a * b - t2(a, b, a - 1 - m) == expected
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_pass_past_the_period_makes_no_s_or_floor_sum_step(bits, monkeypatch):
+    # The pass gives the period rule's Q(a,b;m) too: no S or floor-sum step,
+    # and one sum of squares per level, one for the top state's division
+    # step and two for the period rule (its block sum and the period term).
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
+    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert (s_steps, q_steps) == (0, 0)
+    assert squares == len(levels(a, b, h)) + 3
+
+
+@pytest.mark.parametrize("bits", [256, 512, 1024])
+def test_pass_makes_no_s_or_floor_sum_step(bits, monkeypatch):
+    # The paper's chain makes O(levels^2) S steps (46,971 traced at 512
+    # bits); the pass makes none, and one sum of squares per level plus
+    # one for the top state's division step.
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
+    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert (s_steps, q_steps) == (0, 0)
+    assert squares == len(levels(a, b, h)) + 1
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+def test_t3_alt_makes_no_s_or_floor_sum_step(bits, h_periods, monkeypatch):
+    # t3_alt runs one pass for (a,b;h mod a) and, past the period, one for
+    # (a,b;a-1) and the block sum of squares.
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=h_periods)
+    value, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t3_alt(a, b, h))
+    assert (s_steps, q_steps) == (0, 0)
+    passes = len(levels(a, b, h)) + 1
+    if h >= a:
+        passes += len(levels(a, b, a - 1)) + 1 + 1
+    assert squares == passes
+    assert value == t3(a, b, h), (a, b, h)
+
+
+def test_t3_alt_never_takes_the_period_term(monkeypatch):
+    # Past the period t3 takes T2(a,b;a-1) from the Dedekind-sum formula and
+    # t3_alt takes T3(a,b;a-1) from the chain, so t3 == t3_alt checks the
+    # formula.
+    cases = [
+        (a, b, h)
+        for a in range(2, 25)
+        for b in range(1, a)
+        if math.gcd(a, b) == 1
+        for h in (a, a + 1, 2 * a + 3, 3 * a + 1)
+    ]
+    cases += [coprime_instance(bits, random.Random(bits), h_periods=(1, 3)) for bits in (64, 512)]
+    expected = [t3(*case) for case in cases]
+
+    def refused(a, b):
+        raise AssertionError(f"the period term of {(a, b)} was taken")
+
+    monkeypatch.setattr(cross_sum, "_period_term", refused)
+    with pytest.raises(AssertionError, match="period term"):
+        t3(*cases[0])
+    assert [t3_alt(*case) for case in cases] == expected
+
+
+def test_inexact_t2_division_is_an_internal_error(monkeypatch):
+    # One more in sum_{i<=h'} i^2 at a level with an odd quotient d moves
+    # 2*T2 by -d^2, an odd amount, so the halving of 2*T2 is inexact there.
+    # At (7, 2, 5) the one level has d = 3.  With the threshold at 2^200,
+    # only sums whose bound shown() names by bit length are off.
+    original = cross_sum.sum_squares
+    threshold = {"h": 0}
+
+    def off_by_one(h):
+        return original(h) + (h > threshold["h"])
+
+    monkeypatch.setattr(cross_sum, "sum_squares", off_by_one)
+    with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(7, 2, 5\)$"):
+        t2(7, 2, 5)
+    threshold["h"] = 2**200
+    a, b, h = coprime_instance(512, random.Random(512))
+    message = r"^T2 is not integral for \(<\d+-bit int>, <\d+-bit int>, <\d+-bit int>\)$"
+    with pytest.raises(InternalInvariantError, match=message) as raised:
+        t2(a, b, h % a)
+    assert len(str(raised.value)) < 120

@@ -109,6 +109,23 @@ def test_t2_reciprocity_children_replay_to_q_and_s():
     assert seen > 100
 
 
+def test_t1_trace_holds_the_s_then_the_q_walk():
+    # T1 is derived from S and Q, and its sink gets both walks in that order,
+    # so the replay is S + Q, not T1.
+    seen = 0
+    for a, b, h in GRID:
+        trace, s_walk, q_walk = Trace(), Trace(), Trace()
+        t1(a, b, h, trace)
+        expected = s_value(a, b, h, s_walk) + floor_sum(Instance(a, b, h), q_walk)
+        assert trace.replay() == expected, (a, b, h)
+        assert steps(trace) == steps(s_walk) + steps(q_walk), (a, b, h)
+        seen += bool(s_walk.steps and q_walk.steps)
+    assert seen > 100
+    trace = Trace()
+    assert t1(8411, 2732, 1221, trace) == F(2219247661, 5441917)
+    assert trace.replay() == F(659102553353, 647)
+
+
 def test_t2_reciprocity_rhs_trace_holds_the_q_then_the_s_walk():
     # The right-hand side's sink gets the Q(b,a;h') walk, then S(a,b;h).
     seen = 0

@@ -33,7 +33,7 @@ BRANCHES = {
     "period-reduction": (7, 3, 23),
     "reciprocity": (13, 5, 11),
 }
-# t2_reciprocity_rhs and t3_alt need a > b >= 1.
+# t2_reciprocity_rhs needs a > b >= 1.
 ORDERED = {name: abh for name, abh in BRANCHES.items() if abh[0] > abh[1] >= 1}
 
 REPORT_TYPES = {
@@ -55,12 +55,12 @@ def test_route_types(abh):
     assert type(t1(*abh)) is Fraction
     assert type(t2(*abh)) is int
     assert type(t3(*abh)) is int
+    assert type(t3_alt(*abh)) is int
 
 
 @pytest.mark.parametrize("abh", ORDERED.values(), ids=ORDERED.keys())
 def test_ordered_route_types(abh):
     a, b, h = abh
-    assert type(t3_alt(a, b, h)) is int
     assert type(t2_reciprocity_rhs(a, b, h % a)) is Fraction
 
 
