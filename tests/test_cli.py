@@ -437,28 +437,45 @@ class TestFrobenius:
         assert run(capsys, "frobenius", "--a", "2", "--b", "3", "--n", "7")[0] == 2
 
     def test_far_below_the_frobenius_number_exits_2(self, capsys):
-        # The tail loop would run about 2^40 rounds, for days; or about
-        # 60,000 rounds on 157-word (10,000-bit) numbers, where a round costs
-        # more per word than on small ones, for over 10 s.
+        # n = g // 2 with g = ab - a - b: both sides of g are long.  The loop
+        # would run about 2^39 rounds, for days; or about 30,000 rounds on
+        # 157-word (10,000-bit) numbers, where a round costs more per word
+        # than on small ones, for about 4 s.
         for a, b in ((2**40 + 1, 2**40), (60001, 3**6309)):
             start = time.perf_counter()
             code, out, err = run(capsys, "frobenius", "--a", str(a), "--b", str(b),
-                                 "--n", "0")
+                                 "--n", str((a * b - a - b) // 2))
             assert time.perf_counter() - start < 1
             assert code == 2 and out == ""
-            assert "tail loop" in err
+            assert "loop limit" in err
+
+    def test_far_below_the_frobenius_number_counts_from_0(self, capsys):
+        for a, b in ((2**40 + 1, 2**40), (60001, 3**6309)):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "frobenius", "--a", str(a), "--b", str(b), "--n", "0")
+            assert time.perf_counter() - start < 1
+            assert code == 0
+            assert json.loads(out)["four_var_count"] == "1"
 
     def test_tail_round_limit_is_inclusive(self, capsys, monkeypatch):
-        # a=7, b=4, n=0: m = 28 - 7 - 4 - 0 - 1 = 16, so 16 // 7 + 1 = 3
-        # rounds on one-word numbers.
+        # a=11, b=7, n=29: g = 77 - 11 - 7 = 59 and m = g - n - 1 = 29, so
+        # either side takes 29 // 11 + 1 = 3 rounds on one-word numbers.
         frobenius = importlib.import_module("floorsums.frobenius")
         monkeypatch.setattr(frobenius, "_MAX_TAIL_WORK", 3)
-        code, out, _ = run(capsys, "frobenius", "--a", "7", "--b", "4", "--n", "0")
+        code, out, _ = run(capsys, "frobenius", "--a", "11", "--b", "7", "--n", "29")
         assert code == 0
-        assert json.loads(out)["four_var_count"] == "1"
+        assert json.loads(out)["four_var_count"] == "125"
         monkeypatch.setattr(frobenius, "_MAX_TAIL_WORK", 2)
-        assert run(capsys, "frobenius", "--a", "7", "--b", "4", "--n", "0")[0] == 2
-        assert run(capsys, "frobenius", "--a", "4", "--b", "7", "--n", "0")[0] == 2
+        assert run(capsys, "frobenius", "--a", "11", "--b", "7", "--n", "29")[0] == 2
+        assert run(capsys, "frobenius", "--a", "7", "--b", "11", "--n", "29")[0] == 2
+        # n = 0 and n = 58 have one short side (1 round) and one long side
+        # (58 // 11 + 1 = 6 rounds): a limit of one round answers both.
+        monkeypatch.setattr(frobenius, "_MAX_TAIL_WORK", 1)
+        for n, count in (("0", "1"), ("58", "675")):
+            for a, b in (("11", "7"), ("7", "11")):
+                code, out, _ = run(capsys, "frobenius", "--a", a, "--b", b, "--n", n)
+                assert code == 0
+                assert json.loads(out)["four_var_count"] == count
 
 
 class TestBench:

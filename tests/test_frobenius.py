@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from floorsums import (
     reciprocity_terms,
     s_value,
 )
+from floorsums.frobenius import _staircase
 
 
 class TestClosedForms:
@@ -61,23 +63,34 @@ class TestFourVarCount:
             four_var_count(2, 3, -1)
 
     def test_tail_loop_limit(self):
-        # 2 * 10^6 rounds on 10-word numbers would take seconds: rejected
-        # before the loop starts.
+        # n = g // 2 with g = ab - a - b is far from both 0 and g, so both sides
+        # are long: rejected before the loop starts.  About 2^39 rounds would
+        # run for days.
+        a, b = 2**40 + 1, 2**40
         start = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="tail loop"):
-            four_var_count(2 * 10**6 + 1, 2**600, 3)
+        with pytest.raises(InvalidArgumentError, match="loop limit"):
+            four_var_count(a, b, (a * b - a - b) // 2)
         assert time.perf_counter() - start < 1
-        # About 60,000 rounds on 157-word (10,000-bit) numbers, whose products
-        # cost more per word, would take over 10 s: rejected too.
+        # About 30,000 rounds on 157-word (10,000-bit) numbers, whose products
+        # cost more per word, would take about 4 s: rejected too.
+        a, b = 60001, 3**6309
         start = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="tail loop"):
-            four_var_count(60001, 3**6309, 0)
+        with pytest.raises(InvalidArgumentError, match="loop limit"):
+            four_var_count(a, b, (a * b - a - b) // 2)
         assert time.perf_counter() - start < 1
-        # From one below the Frobenius number ab - a - b up, the tail has at
+        # From one below the Frobenius number ab - a - b up, the count takes at
         # most one round, whatever the size.
         a, b = 2**40 + 1, 2**40
         for n in (a * b - a - b - 1, a * b - a - b, a * b - 1):
             assert isinstance(four_var_count(a, b, n), int)
+
+    def test_small_n_at_any_size(self):
+        # Below min(a, b) only x = y = 0 is in range, so the count is n + 1,
+        # counted in one round however far n is below ab - a - b.
+        for a, b, n in ((2**40 + 1, 2**40, 0), (60001, 3**6309, 0), (2 * 10**6 + 1, 2**600, 3)):
+            start = time.perf_counter()
+            assert four_var_count(a, b, n) == n + 1
+            assert time.perf_counter() - start < 1
 
     def test_non_int_rejected(self):
         for args in ((True, 3, 1), (2, 3, 2.5), (2, 3, True), (2.0, 3, 1)):
@@ -85,8 +98,8 @@ class TestFourVarCount:
                 four_var_count(*args)
 
     def test_against_brute_force(self):
-        for a in range(2, 13):
-            for b in range(2, 13):
+        for a in range(1, 31):
+            for b in range(1, 31):
                 if math.gcd(a, b) != 1:
                     continue
                 for n in range(a * b):
@@ -103,3 +116,23 @@ class TestFourVarCount:
                     terms = reciprocity_terms(a, b, h)
                     expected = s_value(a, b, h) + s_value(b, a, terms.H) + terms.eta1
                     assert four_var_count(a, b, terms.n) == expected, (a, b, h)
+
+    def test_two_routes_agree_at_17_bits(self):
+        # The direct count up to n equals the closed form minus its overcount
+        # up to m = g - n - 1, at the 17 bits of perfbench's frobenius-tail,
+        # with n spread over [0, ab) and its edges: the side four_var_count
+        # picks never decides whether it is right.  The closed form is
+        # sum_{i <= n} (n + 1 - i) less (n + 1 - i) for every nonrepresentable
+        # i, by Sylvester and Brown-Shiue.
+        rng = random.Random(17)
+        for case in range(12):
+            a = b = 0
+            while math.gcd(a, b) != 1:
+                a, b = (rng.getrandbits(17) | 1 << 16 for _ in range(2))
+            g = a * b - a - b
+            lo, hi = a * b * case // 12, a * b * (case + 1) // 12
+            for n in (rng.randrange(lo, hi), (0, g // 2, g - 1, g, a * b - 1)[case % 5]):
+                closed = (n + 1) * (n + 2) // 2 - (n + 1) * nonrep_count(a, b) + nonrep_sum(a, b)
+                direct = _staircase(a, b, n, 1)
+                assert direct == closed - _staircase(a, b, g - n - 1, 0), (a, b, n)
+                assert four_var_count(a, b, n) == direct, (a, b, n)
