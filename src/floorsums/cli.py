@@ -20,13 +20,13 @@ from fractions import Fraction
 
 from . import frobenius as frob
 from . import oracle
-from .cross_sum import _TARGETS, _ir, _qr, _t3, full_report, t2
+from .cross_sum import full_report, t2
 from .errors import InvalidArgumentError
-from .floor_sum import _remainder_sum, floor_sum
-from .models import Instance
+from .floor_sum import floor_sum
+from .models import _TARGETS, Instance, _derive
 from .numeric import shown
 from .oracle import oracle_report
-from .square_sum import _r2, _t1, s_value, t1
+from .square_sum import s_value, t1
 from .trace import Trace
 
 TARGETS = tuple(_TARGETS)
@@ -143,19 +143,12 @@ def cmd_compute(args) -> int:
     # it; every target is a formula of the chain values.
     values = {}
     if "q" in chains:
-        values["q"] = q = run("q", floor_sum, canon)
-        values["r"] = _remainder_sum(a, b, h, q)
+        values["q"] = run("q", floor_sum, canon)
     if "s" in chains:
-        values["s"] = s = run("s", s_value, a, b, h)
+        values["s"] = run("s", s_value, a, b, h)
     if "t2" in chains:
-        values["t2"] = t2v = run("t2", t2, a, b, h)
-        values["ir"] = _ir(a, b, h, t2v)
-    if "q" in values and "s" in values:
-        values["t1"] = t1v = _t1(a, q, s)
-        values["r2"] = _r2(a, b, h, t1v)
-    if "t1" in values and "t2" in values:
-        values["t3"] = t3v = _t3(a, b, h, t1v, t2v)
-        values["qr"] = _qr(a, b, t2v, t3v)
+        values["t2"] = run("t2", t2, a, b, h)
+    _derive(a, b, h, values)
     sums = {target: _fmt(values[target]) for target in targets}
 
     doc = {

@@ -70,10 +70,12 @@ a*(-(b//a)) + b = b mod a.  A direct t2(a, b, a-1) does not use the
 formula: traced, it walks the paper's chain, and untraced it is one pass up
 that chain.
 
-t3 follows from T1 and T2.  t3_alt is an independent second route used for
-cross-validation: it takes T3 and Q of (a,b;h mod a) and, for h >= a, the
-full periods' T3(a,b;a-1) from ``_sums``, that is from the chain and never
-from the formula, so that t3 == t3_alt cross-checks the formula too.
+t3 walks S and Q, takes T2 from ``t2`` and derives T3 from T1 and T2 by
+``models._derive``, which squares floor(ib/a) = ib/a - {ib/a}.  t3_alt is
+an independent second route used for cross-validation: it takes T3 and Q of
+(a,b;h mod a) and, for h >= a, the full periods' T3(a,b;a-1) from
+``_sums``, that is from the chain and never from the formula, so that
+t3 == t3_alt cross-checks the formula too.
 """
 
 from fractions import Fraction
@@ -81,9 +83,9 @@ from fractions import Fraction
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _full_period, floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
-from .models import Instance, SumReport
+from .models import _TARGETS, Instance, SumReport, _derive
 from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
-from .square_sum import _canonical, _r2, s_value, t1
+from .square_sum import _canonical, s_value, t1
 from .square_sum import _walk as _s_walk
 from .trace import walk
 
@@ -196,30 +198,11 @@ def t2(a: int, b: int, h: int, trace=None) -> int:
     return t + _blocks(a, b, q_blocks, m, q) if q_blocks else t
 
 
-def _t3(a, b, h, t1_value, t2_value):
-    # Squaring floor(ib/a) = ib/a - {ib/a} and summing.
-    value = (
-        t1_value
-        + Fraction(2 * b, a) * t2_value
-        - Fraction(b * b * h * (h + 1) * (2 * h + 1), 6 * a * a)
-    )
-    return exact_int(value, "T3", a, b, h)
-
-
-def _ir(a, b, h, t2_value):
-    # i*r_i = i*ib - a*i*q_i.
-    return b * sum_squares(h) - a * t2_value
-
-
-def _qr(a, b, t2_value, t3_value):
-    # q_i*r_i = q_i*ib - a*q_i^2.
-    return b * t2_value - a * t3_value
-
-
 def t3(a: int, b: int, h: int) -> int:
     """Exact T3(a,b;h) = sum_{i=1..h} floor(ib/a)^2, via T1 and T2."""
     a, b, h = _canonical(a, b, h)
-    return _t3(a, b, h, t1(a, b, h), t2(a, b, h))
+    values = {"s": _s_walk(a, b, h, None), "q": _floor_walk(a, b, h), "t2": t2(a, b, h)}
+    return _derive(a, b, h, values)["t3"]
 
 
 def t3_alt(a: int, b: int, h: int) -> int:
@@ -244,30 +227,12 @@ def t3_alt(a: int, b: int, h: int) -> int:
     )
 
 
-# The report's nine targets, in SumReport's field order: each compute key, its
-# SumReport field and the chains (q, s, t2) it is derived from.
-_TARGETS = {
-    "q": ("q_sum", ("q",)),
-    "r": ("r_sum", ("q",)),
-    "r2": ("r2_sum", ("q", "s")),
-    "t1": ("t1", ("q", "s")),
-    "t2": ("t2", ("t2",)),
-    "t3": ("t3", ("q", "s", "t2")),
-    "ir": ("ir_sum", ("t2",)),
-    "qr": ("qr_sum", ("q", "s", "t2")),
-    "s": ("s", ("s",)),
-}
-
-
 def full_report(inst: Instance) -> SumReport:
     """All supported sums for one instance, computed by the fast paths."""
     inst, _ = inst.canonical()
     a, b, h = inst.a, inst.b, inst.h
-    values = {"q": floor_sum(inst), "r": remainder_sum(inst), "s": s_value(a, b, h)}
-    values["t1"] = t1v = t1(a, b, h)
-    values["r2"] = _r2(a, b, h, t1v)
-    values["t2"] = t2v = t2(a, b, h)
-    values["t3"] = t3v = t3(a, b, h)
-    values["ir"] = _ir(a, b, h, t2v)
-    values["qr"] = _qr(a, b, t2v, t3v)
+    values = _derive(a, b, h, {
+        "q": floor_sum(inst), "r": remainder_sum(inst), "s": s_value(a, b, h),
+        "t1": t1(a, b, h), "t2": t2(a, b, h), "t3": t3(a, b, h),
+    })
     return SumReport(inst, **{field: values[key] for key, (field, _) in _TARGETS.items()})

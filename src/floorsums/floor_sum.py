@@ -13,7 +13,7 @@ exhaust the call stack and every step can be traced.  ``_walk`` does not
 check (a, b, h): its callers have, as every public function does first.
 """
 
-from .models import Instance
+from .models import Instance, _derive
 from .numeric import sum_first
 from .trace import walk
 
@@ -53,12 +53,8 @@ def floor_sum(inst: Instance, trace=None) -> int:
     return _walk(inst.a, inst.b, inst.h, trace)
 
 
-def _remainder_sum(a, b, h, q):
-    # r_i = ib - a*floor(ib/a), summed with q = Q(a,b;h).
-    return b * sum_first(h) - a * q
-
-
 def remainder_sum(inst: Instance) -> int:
     """Exact sum_{i=1..h} r_i where r_i = i*b mod a (canonical instance)."""
     inst, _ = inst.canonical()
-    return _remainder_sum(inst.a, inst.b, inst.h, _walk(inst.a, inst.b, inst.h))
+    a, b, h = inst.a, inst.b, inst.h
+    return _derive(a, b, h, {"q": _walk(a, b, h)})["r"]

@@ -1,11 +1,19 @@
-"""Shared domain containers: problem instances and the full sum report."""
+"""Shared domain containers: problem instances and the full sum report, and
+the one place where the report's targets are derived from its three chains.
+
+Every target is a fixed formula of Q = sum floor(ib/a), S and
+T2 = sum i*floor(ib/a).  ``_TARGETS`` names the chains each target needs, and
+``_derive`` applies the formulas; every caller that holds chain values, from
+``compute`` to ``full_report`` and the single-sum functions, derives through
+it.
+"""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError
-from .numeric import require_ints, shown
+from .numeric import exact_int, require_ints, shown, sum_first, sum_squares
 
 
 @dataclass(frozen=True)
@@ -57,3 +65,50 @@ class SumReport:
     ir_sum: int
     qr_sum: int
     s: Fraction
+
+
+# The report's nine targets, in SumReport's field order: each compute key, its
+# SumReport field and the chains (q, s, t2) it is derived from.
+_TARGETS = {
+    "q": ("q_sum", ("q",)),
+    "r": ("r_sum", ("q",)),
+    "r2": ("r2_sum", ("q", "s")),
+    "t1": ("t1", ("q", "s")),
+    "t2": ("t2", ("t2",)),
+    "t3": ("t3", ("q", "s", "t2")),
+    "ir": ("ir_sum", ("t2",)),
+    "qr": ("qr_sum", ("q", "s", "t2")),
+    "s": ("s", ("s",)),
+}
+
+
+def _derive(a, b, h, values: dict) -> dict:
+    """Add to ``values`` (keyed by target) every target its values give, for a
+    canonical (a, b, h); a value already there is kept.  Returns ``values``.
+
+    With q_i, r_i the quotient and remainder of ib by a, r_i = ib - a*q_i and
+    a*{ib/a} = r_i, so, with S's definition solved for T1,
+      r  = b*sum i - a*Q           r2 = a^2*T1 = 2a*S - a(a+2)*Q
+      ir = b*sum i^2 - a*T2        t3 = (r2 - b^2*sum i^2 + 2ab*T2)/a^2
+      qr = b*T2 - a*T3             t1 = r2/a^2
+    where t3 squares floor(ib/a) = (ib - r_i)/a.  r2 and t3 are integers by
+    the mathematics, so a fraction there raises InternalInvariantError.
+    """
+    if "q" in values:
+        q = values["q"]
+        if "r" not in values:
+            values["r"] = b * sum_first(h) - a * q
+        if "s" in values and "r2" not in values:
+            values["r2"] = exact_int(2 * a * values["s"] - a * (a + 2) * q, "a^2*T1", a, b, h)
+    if "r2" in values and "t1" not in values:
+        values["t1"] = Fraction(values["r2"], a * a)
+    if "t2" in values:
+        t2, squares = values["t2"], sum_squares(h)
+        if "ir" not in values:
+            values["ir"] = b * squares - a * t2
+        if "r2" in values and "t3" not in values:
+            t3 = Fraction(values["r2"] - b * b * squares + 2 * a * b * t2, a * a)
+            values["t3"] = exact_int(t3, "T3", a, b, h)
+        if "t3" in values and "qr" not in values:
+            values["qr"] = b * t2 - a * values["t3"]
+    return values

@@ -15,8 +15,10 @@ O(log max(a,b)) steps.  For h >= a the period rule adds the Q = h // a full
 periods in closed form (T1 has period a, the floor sum's periods come from
 ``floor_sum._period``), and b = 1 has the closed form h(h+1)(2h+1)/(12a).
 Each rule returns its contribution times the sign the walk carries, and
-``trace.walk`` drives them; ``_walk`` (S) and ``_walk_t1`` (T1) never check
-(a, b, h), the public functions do.  All arithmetic is exact rational.
+``trace.walk`` drives them; ``_walk`` (S) never checks (a, b, h), the public
+functions do.  ``t1`` and ``remainder_square_sum`` walk S and Q and take
+T1 = (2S - (a+2)Q)/a and sum r_i^2 = a^2*T1 from ``models._derive``.  All
+arithmetic is exact rational.
 
 With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
 sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
@@ -48,7 +50,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _period as _floor_period
 from .floor_sum import _walk as _floor_walk
-from .models import Instance
+from .models import Instance, _derive
 from .numeric import exact_int, require_coprime, require_ints, shown
 from .trace import walk
 
@@ -153,21 +155,6 @@ def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
     return _walk(a, b, h, trace)
 
 
-def _t1(a, q, s):
-    # The definition of S solved for T1, with q = Q(a,b;h) and s = S(a,b;h).
-    return (2 * s - (a + 2) * q) / a
-
-
-def _r2(a, b, h, t1_value):
-    # r_i = a*{ib/a}, so sum r_i^2 = a^2*T1, an integer.
-    return exact_int(t1_value * a * a, "a^2*T1", a, b, h)
-
-
-def _walk_t1(a, b, h, trace=None):
-    s = _walk(a, b, h, trace)
-    return _t1(a, _floor_walk(a, b, h, trace), s)
-
-
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S.
 
@@ -175,10 +162,10 @@ def t1(a: int, b: int, h: int, trace=None) -> Fraction:
     is S + Q, not T1.
     """
     a, b, h = _canonical(a, b, h)
-    return _walk_t1(a, b, h, trace)
+    return _derive(a, b, h, {"s": _walk(a, b, h, trace), "q": _floor_walk(a, b, h, trace)})["t1"]
 
 
 def remainder_square_sum(a: int, b: int, h: int) -> int:
     """Exact sum_{i=1..h} r_i^2 = a^2 * T1(a,b;h) for the canonical (a,b)."""
     a, b, h = _canonical(a, b, h)
-    return _r2(a, b, h, _walk_t1(a, b, h))
+    return _derive(a, b, h, {"s": _walk(a, b, h, None), "q": _floor_walk(a, b, h)})["r2"]

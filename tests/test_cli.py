@@ -20,6 +20,7 @@ from floorsums import (
     cross_sum,
     floor_sum,
     full_report,
+    models,
     nonrep_count,
     nonrep_sum,
     oracle,
@@ -235,7 +236,7 @@ class TestCompute:
             cases.append((a, rng.randrange(3 * a), rng.randrange(3 * a)))
         for a, b, h in cases:
             report = full_report(Instance(a, b, h))
-            fields = {key: getattr(report, field) for key, (field, _) in cross_sum._TARGETS.items()}
+            fields = {key: getattr(report, field) for key, (field, _) in models._TARGETS.items()}
             for targets in TARGET_LISTS:
                 code, out, _ = run(capsys, "compute", "--a", str(a), "--b", str(b), "--h", str(h),
                                    "--targets", ",".join(targets))
@@ -244,7 +245,7 @@ class TestCompute:
                 assert json.loads(out)["sums"] == expected, (a, b, h, targets)
 
     def test_target_table_follows_sum_report(self):
-        fields = [field for field, _ in cross_sum._TARGETS.values()]
+        fields = [field for field, _ in models._TARGETS.values()]
         assert fields == [field.name for field in dataclasses.fields(SumReport)[1:]]
 
     def test_each_chain_runs_at_most_once(self, capsys, monkeypatch):
@@ -280,7 +281,7 @@ class TestCompute:
                 assert run(capsys, *argv)[0] == 0
                 assert max(calls.values()) == 1, (targets, calls)
                 wanted = {chain for target in targets or TARGETS
-                          for chain in cross_sum._TARGETS[target][1]}
+                          for chain in models._TARGETS[target][1]}
                 assert {table_name[name] for name in calls} == wanted, (targets, calls)
                 if targets is None:
                     assert calls == {"floor_sum": 1, "s_value": 1, "t2": 1}
