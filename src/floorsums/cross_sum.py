@@ -27,33 +27,12 @@ steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
-Untraced, ``t2`` runs none of these walks: it calls ``_sums``, which goes
-once up the chain in integers, carrying Q, T2 and T3 and no S, and which
-serves ``t3_alt`` too.  For a reciprocity state (a, b, h), coprime
-a > b >= 2 and 1 <= h < a, write h' = floor(bh/a), f_j = floor(ja/b) and
-Q', T2', T3' for the sums of (b, a; h').  Count the lattice points (i, j)
-with i <= h and 1 <= j <= floor(ib/a) by columns and by rows.  Row j holds
-the i with f_j < i <= h for 1 <= j <= h', because ja/b is never an integer
-there: a and b are coprime and h' < b.  Weighting each point by 1, by i and
-by 2j-1 gives sum_j (h - f_j), sum_j (h(h+1) - f_j(f_j+1))/2 and
-sum_j (2j-1)(h - f_j), that is
-
-    Q(a,b;h)    = h*h' - Q',
-    2*T2(a,b;h) = h'*h(h+1) - T3' - Q',
-    T3(a,b;h)   = h*h'^2 - 2*T2' + Q'.
-
-The state below, (b, a mod b, h'), gives the sums of (b, a; h') by one
-division step: for x = d*y + r, floor(ix/y) = d*i + floor(ir/y), so the
-sums over i <= h' change by
-
-    Q += d*sum i,    T2 += d*sum i^2,    T3 += 2d*T2 + d^2*sum i^2,
-
-with T2 in the last update taken before the step.  At the bottom of the
-chain h' = 0 or a mod b = 1, and all three sums are 0.  The only exactness
-check is the parity of 2*T2.  The top state's division step, from
-(a, b mod a; m) to (a, b; m), gives all three sums of (a,b;m); for h >= a,
-``t2`` adds the full periods to that T2 by the block formula of the period
-rule, from that Q.
+Untraced, ``t2`` runs none of these walks: it calls ``floor_sum._sums``,
+which goes once up the chain in integers, carrying Q, T2 and T3 and no S
+(the ``floor_sum`` docstring derives it by counting lattice points), and
+which serves ``t3_alt`` too.  It gives the three sums of (a,b;h mod a); for
+h >= a, ``t2`` adds the full periods to that T2 by the block formula of the
+period rule, from that Q.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -80,8 +59,8 @@ t3 == t3_alt cross-checks the formula too.
 
 from fractions import Fraction
 
-from .errors import InternalInvariantError, InvalidArgumentError
-from .floor_sum import _full_period, floor_sum, remainder_sum
+from .errors import InvalidArgumentError
+from .floor_sum import _full_period, _sums, floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
 from .models import _TARGETS, Instance, SumReport, _derive
 from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
@@ -157,32 +136,6 @@ def _period(a, b, q_blocks, m, sink):
     return _blocks(a, b, q_blocks, m, _floor_walk(a, b, m, sink))
 
 
-def _sums(a, b, m):
-    # (Q, T2, T3) of (a,b;m) for coprime a >= 1 and 0 <= m < a, in one integer
-    # pass up the chain (see the module docstring).
-    q_top, y = divmod(b, a)
-    x, k = a, m
-    levels = []
-    while k and y > 1:
-        kp = y * k // x
-        d, r = divmod(x, y)
-        levels.append((x, y, k, kp, d))
-        x, y, k = y, r, kp
-    # Q, T2 and T3 of (x,y;k) at the bottom state, then up the chain.
-    q = t = u = 0
-    for x, y, k, kp, d in reversed(levels):
-        # The division step to (y,x;kp), then the reciprocity to (x,y;k).
-        squares = sum_squares(kp)
-        q, t, u = q + d * (kp * (kp + 1) // 2), t + d * squares, u + d * (2 * t + d * squares)
-        t_twice = kp * k * (k + 1) - u - q
-        if t_twice % 2:
-            raise InternalInvariantError(f"T2 is not integral for {shown((x, y, k))}")
-        q, t, u = k * kp - q, t_twice // 2, k * kp * kp - 2 * t + q
-    # The top state's division step, from (a, b mod a; m) to (a,b;m).
-    squares = sum_squares(m)
-    return q + q_top * (m * (m + 1) // 2), t + q_top * squares, u + q_top * (2 * t + q_top * squares)
-
-
 def t2(a: int, b: int, h: int, trace=None) -> int:
     """Exact T2(a,b;h) = sum_{i=1..h} i*floor(ib/a) (canonical (a,b))."""
     a, b, h = _canonical(a, b, h)
@@ -228,7 +181,11 @@ def t3_alt(a: int, b: int, h: int) -> int:
 
 
 def full_report(inst: Instance) -> SumReport:
-    """All supported sums for one instance, computed by the fast paths."""
+    """All supported sums for one instance, computed by the fast paths.
+
+    t1 comes from the pass up the T2 chain and s from the S chain, so the
+    report's s = (a/2)*t1 + (a/2 + 1)*q_sum relates two routes.
+    """
     inst, _ = inst.canonical()
     a, b, h = inst.a, inst.b, inst.h
     values = _derive(a, b, h, {

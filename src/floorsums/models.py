@@ -5,7 +5,8 @@ Every target is a fixed formula of Q = sum floor(ib/a), S and
 T2 = sum i*floor(ib/a).  ``_TARGETS`` names the chains each target needs, and
 ``_derive`` applies the formulas; every caller that holds chain values, from
 ``compute`` to ``full_report`` and the single-sum functions, derives through
-it.
+it.  r2, t1, ir and qr are also formulas of T2 and T3 = sum floor(ib/a)^2,
+the sums that the pass up the T2 chain (``floor_sum._sums``) gives.
 """
 
 import math
@@ -89,10 +90,12 @@ def _derive(a, b, h, values: dict) -> dict:
     With q_i, r_i the quotient and remainder of ib by a, r_i = ib - a*q_i and
     a*{ib/a} = r_i, so, with S's definition solved for T1,
       r  = b*sum i - a*Q           r2 = a^2*T1 = 2a*S - a(a+2)*Q
-      ir = b*sum i^2 - a*T2        t3 = (r2 - b^2*sum i^2 + 2ab*T2)/a^2
-      qr = b*T2 - a*T3             t1 = r2/a^2
-    where t3 squares floor(ib/a) = (ib - r_i)/a.  r2 and t3 are integers by
-    the mathematics, so a fraction there raises InternalInvariantError.
+      ir = b*sum i^2 - a*T2        r2 = b^2*sum i^2 - 2ab*T2 + a^2*T3
+      qr = b*T2 - a*T3             t3 = (r2 - b^2*sum i^2 + 2ab*T2)/a^2
+      t1 = r2/a^2
+    where the second r2 squares r_i = ib - a*q_i and t3 solves it for T3.
+    r2 and t3 are integers by the mathematics, so a fraction there raises
+    InternalInvariantError.
     """
     if "q" in values:
         q = values["q"]
@@ -100,15 +103,17 @@ def _derive(a, b, h, values: dict) -> dict:
             values["r"] = b * sum_first(h) - a * q
         if "s" in values and "r2" not in values:
             values["r2"] = exact_int(2 * a * values["s"] - a * (a + 2) * q, "a^2*T1", a, b, h)
-    if "r2" in values and "t1" not in values:
-        values["t1"] = Fraction(values["r2"], a * a)
     if "t2" in values:
         t2, squares = values["t2"], sum_squares(h)
         if "ir" not in values:
             values["ir"] = b * squares - a * t2
+        if "t3" in values and "r2" not in values:
+            values["r2"] = b * b * squares - 2 * a * b * t2 + a * a * values["t3"]
         if "r2" in values and "t3" not in values:
             t3 = Fraction(values["r2"] - b * b * squares + 2 * a * b * t2, a * a)
             values["t3"] = exact_int(t3, "T3", a, b, h)
         if "t3" in values and "qr" not in values:
             values["qr"] = b * t2 - a * values["t3"]
+    if "r2" in values and "t1" not in values:
+        values["t1"] = Fraction(values["r2"], a * a)
     return values

@@ -16,9 +16,18 @@ periods in closed form (T1 has period a, the floor sum's periods come from
 ``floor_sum._period``), and b = 1 has the closed form h(h+1)(2h+1)/(12a).
 Each rule returns its contribution times the sign the walk carries, and
 ``trace.walk`` drives them; ``_walk`` (S) never checks (a, b, h), the public
-functions do.  ``t1`` and ``remainder_square_sum`` walk S and Q and take
-T1 = (2S - (a+2)Q)/a and sum r_i^2 = a^2*T1 from ``models._derive``.  All
-arithmetic is exact rational.
+functions do.  All arithmetic is exact rational.
+
+Untraced, ``t1`` and ``remainder_square_sum`` walk neither S nor Q.  The
+remainder r_i = ib mod a has period a in i and depends on b only through
+b mod a, and a full period takes each j < a once, so
+
+    sum r_i^2 (a,b;h) = (h // a)*sum_{j<a} j^2 + sum r_i^2 (a, b mod a; h mod a).
+
+``floor_sum._sums`` gives T2 and T3 of the tail in one integer pass up the
+T2 chain, ``models._derive`` turns them into
+sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3, and T1 = sum r_i^2 / a^2.  A
+traced ``t1`` walks S, then Q, and takes T1 = (2S - (a+2)Q)/a.
 
 With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
 sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
@@ -49,9 +58,10 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _period as _floor_period
+from .floor_sum import _sums
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, _derive
-from .numeric import exact_int, require_coprime, require_ints, shown
+from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
 from .trace import walk
 
 
@@ -155,17 +165,29 @@ def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
     return _walk(a, b, h, trace)
 
 
-def t1(a: int, b: int, h: int, trace=None) -> Fraction:
-    """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2, extracted from S.
+def _remainder_squares(a, b, h):
+    # sum r_i^2 of canonical (a,b;h) from one pass (see the module docstring).
+    q_blocks, m = divmod(h, a)
+    b %= a
+    _, t, u = _sums(a, b, m)
+    return q_blocks * sum_squares(a - 1) + _derive(a, b, m, {"t2": t, "t3": u})["r2"]
 
-    A trace gets the S(a,b;h) walk, then the Q(a,b;h) walk, so its replay()
-    is S + Q, not T1.
+
+def t1(a: int, b: int, h: int, trace=None) -> Fraction:
+    """Exact T1(a,b;h) = sum_{i=1..h} {ib/a}^2 = sum r_i^2 / a^2.
+
+    Untraced, sum r_i^2 comes from one pass up the T2 chain.  A trace gets
+    the S(a,b;h) walk, then the Q(a,b;h) walk, so its replay() is S + Q, not
+    T1.
     """
     a, b, h = _canonical(a, b, h)
-    return _derive(a, b, h, {"s": _walk(a, b, h, trace), "q": _floor_walk(a, b, h, trace)})["t1"]
+    if trace is None:
+        values = {"r2": _remainder_squares(a, b, h)}
+    else:
+        values = {"s": _walk(a, b, h, trace), "q": _floor_walk(a, b, h, trace)}
+    return _derive(a, b, h, values)["t1"]
 
 
 def remainder_square_sum(a: int, b: int, h: int) -> int:
     """Exact sum_{i=1..h} r_i^2 = a^2 * T1(a,b;h) for the canonical (a,b)."""
-    a, b, h = _canonical(a, b, h)
-    return _derive(a, b, h, {"s": _walk(a, b, h, None), "q": _floor_walk(a, b, h)})["r2"]
+    return _remainder_squares(*_canonical(a, b, h))

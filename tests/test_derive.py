@@ -1,6 +1,6 @@
 """Every target of a report is derived in one place, ``models._derive``, from
-the chain values Q, S and T2; the single-sum functions and the target table
-agree with it."""
+the chain values Q, S and T2, or from the pass's T2 and T3; the single-sum
+functions and the target table agree with it."""
 
 import itertools
 import math
@@ -52,19 +52,28 @@ def test_single_sums_match_the_oracle():
         ), (a, b, h)
 
 
+# The sums the pass up the T2 chain gives, and every target they give.
+PASS = {"t2", "t3"}
+FROM_PASS = PASS | {"r2", "t1", "ir", "qr"}
+
+
 def chain_subsets():
     return [set(chains) for n in range(4) for chains in itertools.combinations(CHAINS, n)]
 
 
 @pytest.mark.parametrize("inst", [Instance(1, 0, 3), Instance(7, 3, 10), Instance(13, 5, 11)])
-@pytest.mark.parametrize("given", chain_subsets(), ids=lambda chains: "+".join(sorted(chains)) or "none")
+@pytest.mark.parametrize("given", chain_subsets() + [PASS], ids=lambda chains: "+".join(sorted(chains)) or "none")
 def test_derive_gives_the_targets_the_table_names(inst, given):
     # The keys derived from a set of chains are exactly the targets whose
-    # chains the target table puts inside that set, with the oracle's values.
+    # chains the target table puts inside that set, with the oracle's values;
+    # the pass's T2 and T3 give FROM_PASS.
     report = oracle_report(inst)
     fields = {key: getattr(report, field) for key, (field, _) in models._TARGETS.items()}
     values = models._derive(inst.a, inst.b, inst.h, {chain: fields[chain] for chain in given})
-    wanted = {key for key, (_, chains) in models._TARGETS.items() if set(chains) <= given}
+    if given == PASS:
+        wanted = FROM_PASS
+    else:
+        wanted = {key for key, (_, chains) in models._TARGETS.items() if set(chains) <= given}
     assert set(values) == wanted
     assert values == {key: fields[key] for key in wanted}
 

@@ -1,6 +1,7 @@
-"""The integer pass up the T2 chain that untraced ``t2`` and ``t3_alt`` take.
+"""The integer pass up the T2 chain that untraced ``t2``, ``t3_alt``, ``t1``
+and ``remainder_square_sum`` take.
 
-``cross_sum._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
+``floor_sum._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
 T2 chain, carrying the three sums from level to level by the floor-sum
 reciprocity and one division step, with no S; an untraced ``t2`` adds the
 full periods for h >= a.  A traced ``t2`` walks the paper's full chain and
@@ -15,8 +16,11 @@ h >= a and the period rule needs Q(a,b;m), and one sum of squares per T2
 reciprocity level plus one for the top state's division step.  ``t3_alt``
 takes all it needs from the same pass: no S or floor-sum step, and never
 the period term's Dedekind-sum formula, which ``t3`` past the period uses.
-The pass's one exactness check, the parity of 2*T2, must turn a wrong sum
-into an ``InternalInvariantError`` that names the state in one short line.
+Untraced ``t1`` and ``remainder_square_sum`` take sum r_i^2 from one pass
+with no S or floor-sum step, and ``t1`` equals the traced ``t1``, which
+walks S and Q.  The pass's one exactness check, the parity of 2*T2, must
+turn a wrong sum into an ``InternalInvariantError`` that names the state in
+one short line.
 """
 
 import functools
@@ -27,8 +31,20 @@ from fractions import Fraction
 
 import pytest
 
-from floorsums import Instance, InternalInvariantError, cross_sum, floor_sum, square_sum, t2, t3, t3_alt
-from floorsums.cross_sum import _sums
+from floorsums import (
+    Instance,
+    InternalInvariantError,
+    cross_sum,
+    floor_sum,
+    full_report,
+    remainder_square_sum,
+    square_sum,
+    t1,
+    t2,
+    t3,
+    t3_alt,
+)
+from floorsums.floor_sum import _sums
 from floorsums.trace import RULE_RECIPROCITY, Trace
 
 # The package attribute floorsums.floor_sum is the function, not the module.
@@ -56,8 +72,9 @@ def levels(a, b, h):
 
 
 def step_calls(monkeypatch, call):
-    """(value, S reciprocity steps, floor-sum reciprocity steps, cross_sum's
-    sum_squares calls) of call()."""
+    """(value, S reciprocity steps, floor-sum reciprocity steps, sum_squares
+    calls of the pass in floor_sum and of the period rules in cross_sum) of
+    call()."""
     calls = {"_terms": 0, "_reciprocity": 0, "sum_squares": 0}
 
     def counted(module, name):
@@ -72,7 +89,8 @@ def step_calls(monkeypatch, call):
     with monkeypatch.context() as patch:
         patch.setattr(square_sum, "_terms", counted(square_sum, "_terms"))
         patch.setattr(floor_sum_module, "_reciprocity", counted(floor_sum_module, "_reciprocity"))
-        patch.setattr(cross_sum, "sum_squares", counted(cross_sum, "sum_squares"))
+        for module in (floor_sum_module, cross_sum):
+            patch.setattr(module, "sum_squares", counted(module, "sum_squares"))
         value = call()
     return value, calls["_terms"], calls["_reciprocity"], calls["sum_squares"]
 
@@ -260,18 +278,55 @@ def test_t3_alt_never_takes_the_period_term(monkeypatch):
     assert [t3_alt(*case) for case in cases] == expected
 
 
+@pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
+@pytest.mark.parametrize(
+    "b_periods, h_periods",
+    [((0, 1), (0, 1)), ((0, 1), (1, 3)), ((1, 3), (0, 3))],
+    ids=["h_below_a", "h_past_a", "b_above_a"],
+)
+def test_untraced_t1_equals_traced(bits, b_periods, h_periods):
+    # The traced t1 walks S and Q; the untraced one takes sum r_i^2 from the
+    # pass, with the period term for h >= a and b mod a for b >= a.
+    a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
+    value = t1(a, b, h)
+    assert value == t1(a, b, h, Trace()), (a, b, h)
+    assert remainder_square_sum(a, b, h) == value * a * a
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+@pytest.mark.parametrize("call", [t1, remainder_square_sum])
+def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, call, monkeypatch):
+    # One pass for (a, b mod a; h mod a): one sum of squares per level and
+    # one for the top state's division step.
+    a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
+    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: call(a, b, h))
+    assert (s_steps, q_steps) == (0, 0)
+    assert squares == len(levels(a, b, h)) + 1
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+def test_full_report_s_agrees_with_t1_and_q(bits, h_periods):
+    # full_report takes s from the S chain and t1 from the pass, so the
+    # definition s = (a/2)*t1 + (a/2 + 1)*q ties two routes together.
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=h_periods)
+    report = full_report(Instance(a, b, h))
+    assert report.s == Fraction(a, 2) * report.t1 + (Fraction(a, 2) + 1) * report.q_sum, (a, b, h)
+
+
 def test_inexact_t2_division_is_an_internal_error(monkeypatch):
     # One more in sum_{i<=h'} i^2 at a level with an odd quotient d moves
     # 2*T2 by -d^2, an odd amount, so the halving of 2*T2 is inexact there.
     # At (7, 2, 5) the one level has d = 3.  With the threshold at 2^200,
     # only sums whose bound shown() names by bit length are off.
-    original = cross_sum.sum_squares
+    original = floor_sum_module.sum_squares
     threshold = {"h": 0}
 
     def off_by_one(h):
         return original(h) + (h > threshold["h"])
 
-    monkeypatch.setattr(cross_sum, "sum_squares", off_by_one)
+    monkeypatch.setattr(floor_sum_module, "sum_squares", off_by_one)
     with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(7, 2, 5\)$"):
         t2(7, 2, 5)
     threshold["h"] = 2**200
