@@ -27,40 +27,27 @@ steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
-Untraced, ``t2`` runs none of these walks: it calls ``floor_sum._sums``,
-which goes once up the chain in integers, carrying Q, T2 and T3 and no S
-(the ``floor_sum`` docstring derives it by counting lattice points), and
-which serves ``t3_alt`` too.  It gives the three sums of (a,b;h mod a); for
-h >= a, ``t2`` adds the full periods to that T2 by the block formula of the
-period rule, from that Q.
-
-The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
-coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
-ir(a,b;a-1)/a^2 - (a-1)/4 with ir = b*sum i^2 - a*T2.  With q_1..q_t the
-Euclid quotients of (a, b) and b* = b^-1 mod a, the Barkan-Hickerson-Knuth
-formula (Knuth, TAOCP Vol. 2, 3.3.3) and that relation give
-
-    12a*s(b,a) = a*sum_i (-1)^(i+1) q_i + b + b* - a*(3 if t is odd else 1),
-    12a*T2(a,b;a-1) = 12b*sum_{i<a} i^2 - a*(12a*s(b,a)) - 3a^2(a-1).
-
-The formula, stated for b < a, holds as written for b > a: the quotients
-then begin 0, b//a, which adds 2 to t and -b//a to the sum, and
-a*(-(b//a)) + b = b mod a.  A direct t2(a, b, a-1) does not use the
-formula: traced, it walks the paper's chain, and untraced it is one pass up
-that chain.
+Untraced, ``t2`` runs none of these walks: it takes T2 of (a,b;h mod a)
+and its Q from ``engine._sums``, the one integer pass up the chain, and for
+h >= a adds the full periods by ``engine._blocks``, the period rule's block
+formula, whose period term T2(a,b;a-1) is a Dedekind sum in closed form.
+The ``engine`` docstring derives all three.  A direct t2(a, b, a-1) does not
+use that closed form: traced, it walks the paper's chain, and untraced it
+is one pass up that chain.
 
 t3 walks S and Q, takes T2 from ``t2`` and derives T3 from T1 and T2 by
 ``models._derive``, which squares floor(ib/a) = ib/a - {ib/a}.  t3_alt is
 an independent second route used for cross-validation: it takes T3 and Q of
-(a,b;h mod a) and, for h >= a, the full periods' T3(a,b;a-1) from
-``_sums``, that is from the chain and never from the formula, so that
-t3 == t3_alt cross-checks the formula too.
+(a,b;h mod a) from ``engine._sums`` and, for h >= a, the full periods from
+``engine._t3_blocks``, which takes T3(a,b;a-1) from the pass and never from
+the period term, so that t3 == t3_alt cross-checks the period term too.
 """
 
 from fractions import Fraction
 
+from .engine import _blocks, _sums, _t3_blocks
 from .errors import InvalidArgumentError
-from .floor_sum import _full_period, _sums, floor_sum, remainder_sum
+from .floor_sum import floor_sum, remainder_sum
 from .floor_sum import _walk as _floor_walk
 from .models import _TARGETS, Instance, SumReport, _derive
 from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
@@ -100,38 +87,6 @@ def t2_reciprocity_rhs(a: int, b: int, h: int, trace=None) -> Fraction:
     return _reciprocity(a, b, h, 1, trace)[0]
 
 
-def _period_term(a, b):
-    # T2(a,b;a-1) for coprime a >= 2, b >= 1 (see the module docstring).
-    x, y = a, b
-    alternating, t = 0, 0
-    while y:
-        q, r = divmod(x, y)
-        alternating += -q if t % 2 else q
-        t += 1
-        x, y = y, r
-    twelve_a_s = a * alternating + b + pow(b, -1, a) - a * (3 if t % 2 else 1)
-    value = Fraction(12 * b * sum_squares(a - 1) - a * twelve_a_s - 3 * a * a * (a - 1), 12 * a)
-    return exact_int(value, "T2", a, b, a - 1)
-
-
-def _blocks(a, b, q_blocks, m, fm):
-    # Block decomposition i = ja + t with floor((ja+t)b/a) = jb + floor(tb/a):
-    # full blocks reduce to T2(a,b;a), floor sums and polynomial sums, with
-    # fm = Q(a,b;m); only the tail h mod a recurses.
-    t2_a = _period_term(a, b) + a * b
-    sj = q_blocks * (q_blocks - 1) // 2
-    sj2 = sum_squares(q_blocks - 1)
-    return (
-        a * a * b * sj2
-        + a * _full_period(a, b) * sj
-        + b * (a * (a + 1) // 2) * sj
-        + q_blocks * t2_a
-        + q_blocks * q_blocks * a * b * m
-        + q_blocks * a * fm
-        + q_blocks * b * (m * (m + 1) // 2)
-    )
-
-
 def _period(a, b, q_blocks, m, sink):
     return _blocks(a, b, q_blocks, m, _floor_walk(a, b, m, sink))
 
@@ -169,15 +124,7 @@ def t3_alt(a: int, b: int, h: int) -> int:
     a, b, h = _canonical(a, b, h)
     q_blocks, m = divmod(h, a)
     fm, _, t3_m = _sums(a, b, m)
-    if not q_blocks:
-        return t3_m
-    # The full periods, with T3(a,b;a) = T3(a,b;a-1) + b^2, then the tail.
-    return (
-        a * b * b * sum_squares(q_blocks - 1)
-        + 2 * b * _full_period(a, b) * (q_blocks * (q_blocks - 1) // 2)
-        + q_blocks * (_sums(a, b, a - 1)[2] + b * b)
-        + m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm + t3_m
-    )
+    return t3_m + _t3_blocks(a, b, q_blocks, m, fm) if q_blocks else t3_m
 
 
 def full_report(inst: Instance) -> SumReport:

@@ -4,9 +4,9 @@ the one place where the report's targets are derived from its three chains.
 Every target is a fixed formula of Q = sum floor(ib/a), S and
 T2 = sum i*floor(ib/a).  ``_TARGETS`` names the chains each target needs, and
 ``_derive`` applies the formulas; every caller that holds chain values, from
-``compute`` to ``full_report`` and the single-sum functions, derives through
-it.  r2, t1, ir and qr are also formulas of T2 and T3 = sum floor(ib/a)^2,
-the sums that the pass up the T2 chain (``floor_sum._sums``) gives.
+``compute`` to ``full_report``, the single-sum functions and ``engine``,
+derives through it.  r2, t1, ir and qr are also formulas of T2 and
+T3 = sum floor(ib/a)^2.
 """
 
 import math

@@ -18,16 +18,10 @@ Each rule returns its contribution times the sign the walk carries, and
 ``trace.walk`` drives them; ``_walk`` (S) never checks (a, b, h), the public
 functions do.  All arithmetic is exact rational.
 
-Untraced, ``t1`` and ``remainder_square_sum`` walk neither S nor Q.  The
-remainder r_i = ib mod a has period a in i and depends on b only through
-b mod a, and a full period takes each j < a once, so
-
-    sum r_i^2 (a,b;h) = (h // a)*sum_{j<a} j^2 + sum r_i^2 (a, b mod a; h mod a).
-
-``floor_sum._sums`` gives T2 and T3 of the tail in one integer pass up the
-T2 chain, ``models._derive`` turns them into
-sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3, and T1 = sum r_i^2 / a^2.  A
-traced ``t1`` walks S, then Q, and takes T1 = (2S - (a+2)Q)/a.
+Untraced, ``t1`` and ``remainder_square_sum`` walk neither S nor Q: they
+take sum r_i^2 from ``engine._remainder_squares``, one integer pass up the
+T2 chain, and T1 = sum r_i^2 / a^2.  A traced ``t1`` walks S, then Q, and
+takes T1 = (2S - (a+2)Q)/a.
 
 With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
 sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
@@ -56,12 +50,12 @@ plus that division.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .engine import _remainder_squares
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _period as _floor_period
-from .floor_sum import _sums
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, _derive
-from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
+from .numeric import exact_int, require_coprime, require_ints, shown
 from .trace import walk
 
 
@@ -163,14 +157,6 @@ def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a)."""
     a, b, h = _canonical(a, b, h)
     return _walk(a, b, h, trace)
-
-
-def _remainder_squares(a, b, h):
-    # sum r_i^2 of canonical (a,b;h) from one pass (see the module docstring).
-    q_blocks, m = divmod(h, a)
-    b %= a
-    _, t, u = _sums(a, b, m)
-    return q_blocks * sum_squares(a - 1) + _derive(a, b, m, {"t2": t, "t3": u})["r2"]
 
 
 def t1(a: int, b: int, h: int, trace=None) -> Fraction:

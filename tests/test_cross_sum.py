@@ -64,6 +64,20 @@ class TestT2:
         lhs = t2(a, b, h) + Fraction(a, b) * t2(b, a, hp)
         assert lhs == t2_reciprocity_rhs(a, b, h)
 
+    @pytest.mark.parametrize("bits", [64, 512, 1024])
+    def test_reciprocity_identity_above_the_oracle(self, bits):
+        # The left side comes from the integer pass, the right side from the
+        # S chain and a floor walk: two routes, at sizes the oracle cannot
+        # reach.
+        rng = random.Random(bits)
+        a = b = 0
+        while math.gcd(a, b) != 1:
+            a = rng.getrandbits(bits) | (1 << (bits - 1))
+            b = rng.randrange(1, a)
+        h = rng.randrange(a)
+        lhs = t2(a, b, h) + Fraction(a, b) * t2(b, a, b * h // a)
+        assert lhs == t2_reciprocity_rhs(a, b, h), bits
+
     @pytest.mark.parametrize("args", [(0, 1, 1), (3, 5, 2), (4, 2, 1), (5, 3, 7),
                                       (True, 1, 0), (5, 3, 2.0)])
     def test_rhs_rejects_outside_its_domain(self, args):

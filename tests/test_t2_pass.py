@@ -1,7 +1,7 @@
 """The integer pass up the T2 chain that untraced ``t2``, ``t3_alt``, ``t1``
 and ``remainder_square_sum`` take.
 
-``floor_sum._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
+``engine._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
 T2 chain, carrying the three sums from level to level by the floor-sum
 reciprocity and one division step, with no S; an untraced ``t2`` adds the
 full periods for h >= a.  A traced ``t2`` walks the paper's full chain and
@@ -17,8 +17,9 @@ reciprocity level plus one for the top state's division step.  ``t3_alt``
 takes all it needs from the same pass: no S or floor-sum step, and never
 the period term's Dedekind-sum formula, which ``t3`` past the period uses.
 Untraced ``t1`` and ``remainder_square_sum`` take sum r_i^2 from one pass
-with no S or floor-sum step, and ``t1`` equals the traced ``t1``, which
-walks S and Q.  The pass's one exactness check, the parity of 2*T2, must
+with no S or floor-sum step, plus the full periods' sum of squares, and
+``t1`` equals the traced ``t1``, which walks S and Q.  The counts are of
+``sum_squares`` calls made in ``engine`` and in ``cross_sum``.  The pass's one exactness check, the parity of 2*T2, must
 turn a wrong sum into an ``InternalInvariantError`` that names the state in
 one short line.
 """
@@ -44,7 +45,8 @@ from floorsums import (
     t3,
     t3_alt,
 )
-from floorsums.floor_sum import _sums
+from floorsums import engine
+from floorsums.engine import _sums
 from floorsums.trace import RULE_RECIPROCITY, Trace
 
 # The package attribute floorsums.floor_sum is the function, not the module.
@@ -73,8 +75,7 @@ def levels(a, b, h):
 
 def step_calls(monkeypatch, call):
     """(value, S reciprocity steps, floor-sum reciprocity steps, sum_squares
-    calls of the pass in floor_sum and of the period rules in cross_sum) of
-    call()."""
+    calls in engine and in cross_sum) of call()."""
     calls = {"_terms": 0, "_reciprocity": 0, "sum_squares": 0}
 
     def counted(module, name):
@@ -89,7 +90,7 @@ def step_calls(monkeypatch, call):
     with monkeypatch.context() as patch:
         patch.setattr(square_sum, "_terms", counted(square_sum, "_terms"))
         patch.setattr(floor_sum_module, "_reciprocity", counted(floor_sum_module, "_reciprocity"))
-        for module in (floor_sum_module, cross_sum):
+        for module in (engine, cross_sum):
             patch.setattr(module, "sum_squares", counted(module, "sum_squares"))
         value = call()
     return value, calls["_terms"], calls["_reciprocity"], calls["sum_squares"]
@@ -272,7 +273,7 @@ def test_t3_alt_never_takes_the_period_term(monkeypatch):
     def refused(a, b):
         raise AssertionError(f"the period term of {(a, b)} was taken")
 
-    monkeypatch.setattr(cross_sum, "_period_term", refused)
+    monkeypatch.setattr(engine, "_period_term", refused)
     with pytest.raises(AssertionError, match="period term"):
         t3(*cases[0])
     assert [t3_alt(*case) for case in cases] == expected
@@ -298,11 +299,12 @@ def test_untraced_t1_equals_traced(bits, b_periods, h_periods):
 @pytest.mark.parametrize("call", [t1, remainder_square_sum])
 def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, call, monkeypatch):
     # One pass for (a, b mod a; h mod a): one sum of squares per level and
-    # one for the top state's division step.
+    # one for the top state's division step, and the full periods'
+    # sum_{j<a} j^2, which is evaluated also when h < a.
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
     _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: call(a, b, h))
     assert (s_steps, q_steps) == (0, 0)
-    assert squares == len(levels(a, b, h)) + 1
+    assert squares == len(levels(a, b, h)) + 2
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -320,13 +322,13 @@ def test_inexact_t2_division_is_an_internal_error(monkeypatch):
     # 2*T2 by -d^2, an odd amount, so the halving of 2*T2 is inexact there.
     # At (7, 2, 5) the one level has d = 3.  With the threshold at 2^200,
     # only sums whose bound shown() names by bit length are off.
-    original = floor_sum_module.sum_squares
+    original = engine.sum_squares
     threshold = {"h": 0}
 
     def off_by_one(h):
         return original(h) + (h > threshold["h"])
 
-    monkeypatch.setattr(floor_sum_module, "sum_squares", off_by_one)
+    monkeypatch.setattr(engine, "sum_squares", off_by_one)
     with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(7, 2, 5\)$"):
         t2(7, 2, 5)
     threshold["h"] = 2**200
