@@ -35,8 +35,9 @@ The ``engine`` docstring derives all three.  A direct t2(a, b, a-1) does not
 use that closed form: traced, it walks the paper's chain, and untraced it
 is one pass up that chain.
 
-t3 walks S and Q, takes T2 from ``t2`` and derives T3 from T1 and T2 by
-``models._derive``, which squares floor(ib/a) = ib/a - {ib/a}.  t3_alt is
+t3 walks S, takes Q from ``engine._floor_sum`` and T2 from ``t2``, and
+derives T3 from T1 and T2 by ``models._derive``, which squares
+floor(ib/a) = ib/a - {ib/a}.  t3_alt is
 an independent second route used for cross-validation: it takes T3 and Q of
 (a,b;h mod a) from ``engine._sums`` and, for h >= a, the full periods from
 ``engine._t3_blocks``, which takes T3(a,b;a-1) from the pass and never from

@@ -1,10 +1,17 @@
 """The untraced arithmetic: Q, T2, T3 and sum r_i^2 in integers, with no walk.
 
 Q = sum floor(ib/a), T2 = sum i*floor(ib/a) and T3 = sum floor(ib/a)^2, all
-over i = 1..h.  Untraced ``t2``, ``t1``, ``remainder_square_sum`` and
-``t3_alt`` take their values from here; the paper's reciprocities in
-``floor_sum``, ``square_sum`` and ``cross_sum`` explain them.  Nothing here
-checks (a, b, h) or records a step: callers pass canonical arguments.
+over i = 1..h.  Untraced ``floor_sum``, ``remainder_sum``, ``t2``, ``t1``,
+``remainder_square_sum`` and ``t3_alt`` take their values from here; the
+paper's reciprocities in ``floor_sum``, ``square_sum`` and ``cross_sum``
+explain them.  Nothing here checks (a, b, h) or records a step: callers pass
+canonical arguments.
+
+Q alone.  ``_floor_sum`` adds the full periods (below), then goes down the
+chain as the traced floor-sum walk does, with no step records: a division
+step Q(a, da+r; h) = d*h(h+1)/2 + Q(a,r;h), then the reciprocity
+Q(a,b;h) = h*h' - Q(b,a;h') for b < a, each term added with a sign that
+flips at every reciprocity.
 
 The pass.  ``_sums`` goes once up the T2 chain in integers and carries Q,
 T2 and T3.  For a reciprocity state (a, b, h), coprime a > b >= 2 and
@@ -31,10 +38,17 @@ chain h' = 0 or a mod b = 1, and all three sums are 0.  The only exactness
 check is the parity of 2*T2.  The top state's division step, from
 (a, b mod a; m) to (a, b; m), gives all three sums of (a,b;m).
 
+A level costs five products of numbers as long as h; d is a Euclid
+quotient, usually one word, so products with d are cheap.  They are
+h'(h'+1)*(2h'+1) for sum_{i<=h'} i^2, with h'(h'+1) carried up from the
+level below; h(h+1), which the level above takes as its h'(h'+1) and halves
+for its sum i; h'*h(h+1) for 2*T2; h*h' for Q; and (h*h')*h' for T3.
+
 The full periods.  For h = q*a + m, split i = ja + t with
 floor((ja+t)b/a) = jb + floor(tb/a): the q full blocks reduce to the sums
-over one period, sum j and sum j^2, and the tail's Q(a,b;m) (``_blocks``
-for T2, ``_t3_blocks`` for T3).  One period's Q is ``_full_period``.
+over one period, sum j and sum j^2, and the tail's Q(a,b;m) (``_q_blocks``
+for Q, ``_blocks`` for T2, ``_t3_blocks`` for T3).  One period's Q is
+``_full_period``.
 
 The period term T2(a,b;a-1) is a Dedekind sum and walks no chain.  For
 coprime a >= 2, b >= 1, s(b,a) = sum_{0<i<a} ((i/a))((ib/a)) equals
@@ -59,11 +73,9 @@ The pass gives T2 and T3 of the tail, and ``models._derive`` turns them into
 sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3.
 """
 
-from fractions import Fraction
-
 from .errors import InternalInvariantError
 from .models import _derive
-from .numeric import exact_int, shown, sum_squares
+from .numeric import shown, sum_squares
 
 
 def _full_period(a: int, b: int) -> int:
@@ -83,19 +95,49 @@ def _sums(a, b, m):
         d, r = divmod(x, y)
         levels.append((x, y, k, kp, d))
         x, y, k = y, r, kp
-    # Q, T2 and T3 of (x,y;k) at the bottom state, then up the chain.
+    # Q, T2 and T3 of (x,y;k) at the bottom state, then up the chain; pp is
+    # k(k+1) of the last state reached, the kp(kp+1) of the next level up.
     q = t = u = 0
+    pp = k * (k + 1)
     for x, y, k, kp, d in reversed(levels):
         # The division step to (y,x;kp), then the reciprocity to (x,y;k).
-        squares = sum_squares(kp)
-        q, t, u = q + d * (kp * (kp + 1) // 2), t + d * squares, u + d * (2 * t + d * squares)
-        t_twice = kp * k * (k + 1) - u - q
-        if t_twice % 2:
+        squares = pp * (2 * kp + 1) // 6
+        q, t, u = q + d * (pp >> 1), t + d * squares, u + d * (2 * t + d * squares)
+        pp = k * (k + 1)
+        t_twice = kp * pp - u - q
+        if t_twice & 1:
             raise InternalInvariantError(f"T2 is not integral for {shown((x, y, k))}")
-        q, t, u = k * kp - q, t_twice // 2, k * kp * kp - 2 * t + q
+        k_kp = k * kp
+        q, t, u = k_kp - q, t_twice >> 1, k_kp * kp - 2 * t + q
     # The top state's division step, from (a, b mod a; m) to (a,b;m).
-    squares = sum_squares(m)
-    return q + q_top * (m * (m + 1) // 2), t + q_top * squares, u + q_top * (2 * t + q_top * squares)
+    squares = pp * (2 * m + 1) // 6
+    return q + q_top * (pp >> 1), t + q_top * squares, u + q_top * (2 * t + q_top * squares)
+
+
+def _q_blocks(a, b, q_blocks, m):
+    # Q(a,b;h) - Q(a,b;m) for coprime (a, b) and h = q_blocks*a + m: the
+    # q_blocks full periods, and the q_blocks*b added to each tail floor.
+    return a * b * q_blocks * (q_blocks - 1) // 2 + q_blocks * _full_period(a, b) + q_blocks * b * m
+
+
+def _floor_sum(a, b, h):
+    # Q(a,b;h) for canonical (a, b, h): the full periods, then the division
+    # and reciprocity steps down the chain, with a sign that flips at each
+    # reciprocity Q(a,b;h) = h*h' - Q(b,a;h').
+    total = 0
+    if h >= a > 1:
+        q_blocks, h = divmod(h, a)
+        total = _q_blocks(a, b, q_blocks, h)
+    d, b = divmod(b, a)
+    total += d * (h * (h + 1) >> 1)
+    sign = 1
+    while h and b:
+        k = b * h // a
+        total += sign * h * k
+        a, b, h, sign = b, a, k, -sign
+        d, b = divmod(b, a)
+        total += sign * d * (h * (h + 1) >> 1)
+    return total
 
 
 def _period_term(a, b):
@@ -108,8 +150,10 @@ def _period_term(a, b):
         t += 1
         x, y = y, r
     twelve_a_s = a * alternating + b + pow(b, -1, a) - a * (3 if t % 2 else 1)
-    value = Fraction(12 * b * sum_squares(a - 1) - a * twelve_a_s - 3 * a * a * (a - 1), 12 * a)
-    return exact_int(value, "T2", a, b, a - 1)
+    value, rem = divmod(12 * b * sum_squares(a - 1) - a * twelve_a_s - 3 * a * a * (a - 1), 12 * a)
+    if rem:
+        raise InternalInvariantError(f"T2 is not integral for {shown((a, b, a - 1))}")
+    return value
 
 
 def _blocks(a, b, q_blocks, m, fm):
@@ -147,4 +191,5 @@ def _remainder_squares(a, b, h):
     q_blocks, m = divmod(h, a)
     b %= a
     _, t, u = _sums(a, b, m)
-    return q_blocks * sum_squares(a - 1) + _derive(a, b, m, {"t2": t, "t3": u})["r2"]
+    r2 = _derive(a, b, m, {"t2": t, "t3": u})["r2"]
+    return r2 + q_blocks * sum_squares(a - 1) if q_blocks else r2

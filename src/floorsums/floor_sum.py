@@ -12,24 +12,21 @@ flips at every reciprocity, so adversarial (Fibonacci-like) inputs cannot
 exhaust the call stack and every step can be traced.  ``_walk`` does not
 check (a, b, h): its callers have, as every public function does first.
 
-``floor_sum`` and ``remainder_sum`` take Q from this walk, traced or not;
-the period rule takes one period's Q in closed form from ``engine``.
+A traced Q takes this walk.  Untraced, ``_walk`` hands (a, b, h) to
+``engine._floor_sum``, which runs the same three steps inline, with no step
+records, so ``floor_sum``, ``remainder_sum`` and every other untraced Q walk
+nothing, and the traced walk stays a second route to Q.  Both take the full
+periods' Q in closed form from ``engine._q_blocks``.
 """
 
-from .engine import _full_period
+from .engine import _floor_sum, _q_blocks
 from .models import Instance, _derive
 from .numeric import sum_first
 from .trace import walk
 
 
 def _period(a, b, q_blocks, m, sink):
-    # i = ja + t: floor((ja+t)b/a) = jb + floor(tb/a), so the Q full periods
-    # and the Q*b added to each of the m tail terms come in closed form.
-    return (
-        a * b * q_blocks * (q_blocks - 1) // 2
-        + q_blocks * _full_period(a, b)
-        + q_blocks * b * m
-    )
+    return _q_blocks(a, b, q_blocks, m)
 
 
 def _division(a, q, h, sign):
@@ -42,6 +39,8 @@ def _reciprocity(a, b, h, sign, sink):
 
 
 def _walk(a, b, h, sink=None):
+    if sink is None:
+        return _floor_sum(a, b, h)
     return walk(a, b, h, sink, _division, _reciprocity, _period)
 
 

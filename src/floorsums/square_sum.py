@@ -13,7 +13,7 @@ the division step
 shrinks b, so alternating the two walks down a Euclidean remainder chain in
 O(log max(a,b)) steps.  For h >= a the period rule adds the Q = h // a full
 periods in closed form (T1 has period a, the floor sum's periods come from
-``floor_sum._period``), and b = 1 has the closed form h(h+1)(2h+1)/(12a).
+``engine._q_blocks``), and b = 1 has the closed form h(h+1)(2h+1)/(12a).
 Each rule returns its contribution times the sign the walk carries, and
 ``trace.walk`` drives them; ``_walk`` (S) never checks (a, b, h), the public
 functions do.  All arithmetic is exact rational.
@@ -50,9 +50,8 @@ plus that division.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import _remainder_squares
+from .engine import _q_blocks, _remainder_squares
 from .errors import InternalInvariantError, InvalidArgumentError
-from .floor_sum import _period as _floor_period
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, _derive
 from .numeric import exact_int, require_coprime, require_ints, shown
@@ -145,7 +144,7 @@ def _period(a, b, q_blocks, m, sink):
     # and the floor sum's Q full periods come in closed form.
     return (
         Fraction(q_blocks * (a - 1) * (2 * a - 1), 12)
-        + Fraction(a + 2, 2) * _floor_period(a, b, q_blocks, m, sink)
+        + Fraction(a + 2, 2) * _q_blocks(a, b, q_blocks, m)
     )
 
 

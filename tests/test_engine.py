@@ -1,9 +1,9 @@
 """The untraced arithmetic lives in ``engine``, below the paper's modules.
 
-Every function of the pass, the full periods, the Dedekind term and the sum
-of squared remainders is defined in ``engine`` and nowhere else, and
-``engine`` imports from the package only ``errors``, ``models`` and
-``numeric``, read from its source so that a new import cannot slip in.
+Every function of the pass, the untraced Q, the full periods, the Dedekind
+term and the sum of squared remainders is defined in ``engine`` and nowhere
+else, and ``engine`` imports from the package only ``errors``, ``models``
+and ``numeric``, read from its source so that a new import cannot slip in.
 """
 
 import ast
@@ -12,7 +12,10 @@ from pathlib import Path
 from floorsums import engine
 
 PACKAGE = Path(engine.__file__).resolve().parent
-MOVED = ("_sums", "_full_period", "_period_term", "_blocks", "_t3_blocks", "_remainder_squares")
+MOVED = (
+    "_sums", "_full_period", "_period_term", "_blocks", "_t3_blocks",
+    "_remainder_squares", "_q_blocks", "_floor_sum",
+)
 
 
 def package_imports(tree):

@@ -1,10 +1,15 @@
+import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floorsums import Instance, InvalidArgumentError, Trace, euclid_steps, floor_sum, remainder_sum
+
+# The package attribute floorsums.floor_sum is the function, not the module.
+floor_sum_module = importlib.import_module("floorsums.floor_sum")
 
 
 def brute_floor_sum(a, b, h):
@@ -113,3 +118,31 @@ class TestFloorSumTrace:
             trace = Trace()
             floor_sum(Instance(a, b, h), trace)
             assert len(trace) <= 3 * euclid_steps(a // g, b // g) + 3
+
+
+@pytest.mark.parametrize("bits", [64, 512, 1024, 4096])
+@pytest.mark.parametrize(
+    "b_periods, h_periods",
+    [((0, 1), (0, 1)), ((0, 1), (1, 3)), ((1, 3), (0, 3))],
+    ids=["h_below_a", "h_past_a", "b_above_a"],
+)
+def test_untraced_q_equals_the_traced_walk(bits, b_periods, h_periods, monkeypatch):
+    # Untraced, floor_sum and remainder_sum take Q from engine._floor_sum and
+    # never enter trace.walk; the traced walk is the second route to Q.  b is
+    # in [b0*a, b1*a) and h in [h0*a, h1*a) for (b0, b1), (h0, h1) the
+    # periods.
+    rng = random.Random(bits)
+    a = b = 0
+    while math.gcd(a, b) != 1:
+        a = rng.getrandbits(bits) | 1 << (bits - 1)
+        b = rng.randrange(max(1, b_periods[0] * a), b_periods[1] * a)
+    inst = Instance(a, b, rng.randrange(h_periods[0] * a, h_periods[1] * a))
+    trace = Trace()
+    traced = floor_sum(inst, trace)
+
+    def refused(*args):
+        raise AssertionError("an untraced Q entered trace.walk")
+
+    monkeypatch.setattr(floor_sum_module, "walk", refused)
+    assert floor_sum(inst) == traced == trace.replay(), (a, b, inst.h)
+    assert remainder_sum(inst) == b * inst.h * (inst.h + 1) // 2 - a * traced

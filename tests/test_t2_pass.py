@@ -10,18 +10,22 @@ equal it and its ``replay()``, at the top state and at every state the
 chain passes, for b < a and for a < b < 3a.  The pass's Q and T3 must equal
 ``floor_sum`` and ``t3`` at the top state and at every reciprocity state.
 
-The pass must also do exactly its own work: no S reciprocity step (no
-``square_sum._terms`` evaluation), no floor-sum reciprocity step, also when
-h >= a and the period rule needs Q(a,b;m), and one sum of squares per T2
-reciprocity level plus one for the top state's division step.  ``t3_alt``
-takes all it needs from the same pass: no S or floor-sum step, and never
+The pass must also do exactly its own work: one pass, no S reciprocity step
+(no ``square_sum._terms`` evaluation) and no floor-sum walk, traced or
+untraced, also when h >= a and the period rule needs Q(a,b;m).  The pass
+takes its sums of i and i^2 inline, so the only ``sum_squares`` calls are
+those of the full periods: the block sum and the period term past the
+period.  ``t3_alt`` takes all it needs from the same pass, and past the
+period from a second pass for (a,b;a-1): no S or floor-sum step, and never
 the period term's Dedekind-sum formula, which ``t3`` past the period uses.
 Untraced ``t1`` and ``remainder_square_sum`` take sum r_i^2 from one pass
-with no S or floor-sum step, plus the full periods' sum of squares, and
-``t1`` equals the traced ``t1``, which walks S and Q.  The counts are of
-``sum_squares`` calls made in ``engine`` and in ``cross_sum``.  The pass's one exactness check, the parity of 2*T2, must
-turn a wrong sum into an ``InternalInvariantError`` that names the state in
-one short line.
+with no S or floor-sum step, plus, past the period, the full periods' sum
+of squares, and ``t1`` equals the traced ``t1``, which walks S and Q.  The
+counts are of ``sum_squares`` and ``_sums`` calls made in ``engine`` and in
+``cross_sum``.  The untraced Q, ``engine._floor_sum``, must equal the pass's
+Q at every state of the chain.  The pass's one exactness check, the parity
+of 2*T2, must turn a wrong sum into an ``InternalInvariantError`` that names
+the state in one short line.
 """
 
 import functools
@@ -74,9 +78,11 @@ def levels(a, b, h):
 
 
 def step_calls(monkeypatch, call):
-    """(value, S reciprocity steps, floor-sum reciprocity steps, sum_squares
-    calls in engine and in cross_sum) of call()."""
-    calls = {"_terms": 0, "_reciprocity": 0, "sum_squares": 0}
+    """(value, calls) of call(): calls counts the S reciprocity steps
+    (``_terms``), the traced floor-sum reciprocity steps (``_reciprocity``),
+    the untraced floor sums (``_floor_sum``), and the passes (``_sums``) and
+    ``sum_squares`` calls made in engine and in cross_sum."""
+    calls = dict.fromkeys(("_terms", "_reciprocity", "_floor_sum", "_sums", "sum_squares"), 0)
 
     def counted(module, name):
         original = getattr(module, name)
@@ -89,11 +95,18 @@ def step_calls(monkeypatch, call):
 
     with monkeypatch.context() as patch:
         patch.setattr(square_sum, "_terms", counted(square_sum, "_terms"))
-        patch.setattr(floor_sum_module, "_reciprocity", counted(floor_sum_module, "_reciprocity"))
+        for name in ("_reciprocity", "_floor_sum"):
+            patch.setattr(floor_sum_module, name, counted(floor_sum_module, name))
         for module in (engine, cross_sum):
-            patch.setattr(module, "sum_squares", counted(module, "sum_squares"))
+            for name in ("_sums", "sum_squares"):
+                patch.setattr(module, name, counted(module, name))
         value = call()
-    return value, calls["_terms"], calls["_reciprocity"], calls["sum_squares"]
+    return value, calls
+
+
+def no_walk(passes, squares):
+    """The calls of a computation that makes no S or floor-sum step."""
+    return {"_terms": 0, "_reciprocity": 0, "_floor_sum": 0, "_sums": passes, "sum_squares": squares}
 
 
 @functools.cache
@@ -219,26 +232,35 @@ def test_seeded_pairs(bits, checked):
     assert t2(a, b, a) - a * b - t2(a, b, a - 1 - m) == expected
 
 
+@pytest.mark.parametrize("bits", [64, 512, 1024])
+def test_untraced_q_equals_the_pass_at_every_state(bits):
+    # engine._floor_sum walks the chain down and the pass carries Q up it:
+    # they must agree at every reciprocity state and at the state each swap
+    # leads to, whose b is above its a.
+    a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
+    for x, y, k in levels(a, b, h):
+        kp = y * k // x
+        assert engine._floor_sum(x, y, k) == _sums(x, y, k)[0], (x, y, k)
+        assert engine._floor_sum(y, x, kp) == _sums(y, x, kp)[0], (y, x, kp)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_pass_past_the_period_makes_no_s_or_floor_sum_step(bits, monkeypatch):
-    # The pass gives the period rule's Q(a,b;m) too: no S or floor-sum step,
-    # and one sum of squares per level, one for the top state's division
-    # step and two for the period rule (its block sum and the period term).
+    # The pass gives the period rule's Q(a,b;m) too: one pass, no S or
+    # floor-sum step, and two sums of squares, both the period rule's (its
+    # block sum and the period term).
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
-    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert (s_steps, q_steps) == (0, 0)
-    assert squares == len(levels(a, b, h)) + 3
+    _, calls = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert calls == no_walk(passes=1, squares=2)
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
 def test_pass_makes_no_s_or_floor_sum_step(bits, monkeypatch):
     # The paper's chain makes O(levels^2) S steps (46,971 traced at 512
-    # bits); the pass makes none, and one sum of squares per level plus
-    # one for the top state's division step.
+    # bits); the pass makes none, and takes every sum of squares inline.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
-    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert (s_steps, q_steps) == (0, 0)
-    assert squares == len(levels(a, b, h)) + 1
+    _, calls = step_calls(monkeypatch, lambda: t2(a, b, h))
+    assert calls == no_walk(passes=1, squares=0)
 
 
 @pytest.mark.parametrize("bits", [64, 512])
@@ -247,12 +269,9 @@ def test_t3_alt_makes_no_s_or_floor_sum_step(bits, h_periods, monkeypatch):
     # t3_alt runs one pass for (a,b;h mod a) and, past the period, one for
     # (a,b;a-1) and the block sum of squares.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=h_periods)
-    value, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: t3_alt(a, b, h))
-    assert (s_steps, q_steps) == (0, 0)
-    passes = len(levels(a, b, h)) + 1
-    if h >= a:
-        passes += len(levels(a, b, a - 1)) + 1 + 1
-    assert squares == passes
+    value, calls = step_calls(monkeypatch, lambda: t3_alt(a, b, h))
+    past = h >= a
+    assert calls == no_walk(passes=1 + past, squares=int(past))
     assert value == t3(a, b, h), (a, b, h)
 
 
@@ -298,13 +317,11 @@ def test_untraced_t1_equals_traced(bits, b_periods, h_periods):
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 @pytest.mark.parametrize("call", [t1, remainder_square_sum])
 def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, call, monkeypatch):
-    # One pass for (a, b mod a; h mod a): one sum of squares per level and
-    # one for the top state's division step, and the full periods'
-    # sum_{j<a} j^2, which is evaluated also when h < a.
+    # One pass for (a, b mod a; h mod a) and, past the period only, the full
+    # periods' sum_{j<a} j^2.
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
-    _, s_steps, q_steps, squares = step_calls(monkeypatch, lambda: call(a, b, h))
-    assert (s_steps, q_steps) == (0, 0)
-    assert squares == len(levels(a, b, h)) + 2
+    _, calls = step_calls(monkeypatch, lambda: call(a, b, h))
+    assert calls == no_walk(passes=1, squares=int(h >= a))
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -317,23 +334,32 @@ def test_full_report_s_agrees_with_t1_and_q(bits, h_periods):
     assert report.s == Fraction(a, 2) * report.t1 + (Fraction(a, 2) + 1) * report.q_sum, (a, b, h)
 
 
-def test_inexact_t2_division_is_an_internal_error(monkeypatch):
-    # One more in sum_{i<=h'} i^2 at a level with an odd quotient d moves
-    # 2*T2 by -d^2, an odd amount, so the halving of 2*T2 is inexact there.
-    # At (7, 2, 5) the one level has d = 3.  With the threshold at 2^200,
-    # only sums whose bound shown() names by bit length are off.
-    original = engine.sum_squares
-    threshold = {"h": 0}
+class OffByOne(int):
+    """An int whose products are one more than they should be."""
 
-    def off_by_one(h):
-        return original(h) + (h > threshold["h"])
+    def __mul__(self, other):
+        return int(self) * other + 1
 
-    monkeypatch.setattr(engine, "sum_squares", off_by_one)
+
+def test_inexact_t2_division_is_an_internal_error():
+    # The pass forms k(k+1) at every level from the level's k, so a top
+    # bound m whose products are off by one moves 2*T2 = h'*m(m+1) - T3' - Q'
+    # of the top level by h', an odd amount when h' is.  At (7, 2, 5) the
+    # one level has h' = 1.  shown() names 512-bit values by bit length.
     with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(7, 2, 5\)$"):
-        t2(7, 2, 5)
-    threshold["h"] = 2**200
+        _sums(7, 2, OffByOne(5))
     a, b, h = coprime_instance(512, random.Random(512))
+    m = next(m for m in range(h % a, 0, -1) if b * m // a % 2)
     message = r"^T2 is not integral for \(<\d+-bit int>, <\d+-bit int>, <\d+-bit int>\)$"
     with pytest.raises(InternalInvariantError, match=message) as raised:
-        t2(a, b, h % a)
+        _sums(a, b, OffByOne(m))
     assert len(str(raised.value)) < 120
+
+
+def test_inexact_period_term_is_an_internal_error(monkeypatch):
+    # One more in sum_{i<a} i^2 moves 12a*T2(a,b;a-1) by 12b, which 12a does
+    # not divide for coprime a >= 2, so the exact division must fail.
+    original = engine.sum_squares
+    monkeypatch.setattr(engine, "sum_squares", lambda h: original(h) + 1)
+    with pytest.raises(InternalInvariantError, match=r"^T2 is not integral for \(7, 2, 6\)$"):
+        engine._period_term(7, 2)
