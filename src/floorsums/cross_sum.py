@@ -37,7 +37,8 @@ is one pass up that chain.
 
 t3 walks S, takes Q from ``engine._floor_sum`` and T2 from ``t2``, and
 derives T3 from T1 and T2 by ``models._derive``, which squares
-floor(ib/a) = ib/a - {ib/a}.  t3_alt is
+floor(ib/a) = ib/a - {ib/a}.  It is the one untraced sum that walks S:
+untraced ``s_value`` and ``t1`` take sum r_i^2 from the pass.  t3_alt is
 an independent second route used for cross-validation: it takes T3 and Q of
 (a,b;h mod a) from ``engine._sums`` and, for h >= a, the full periods from
 ``engine._t3_blocks``, which takes T3(a,b;a-1) from the pass and never from
@@ -131,8 +132,10 @@ def t3_alt(a: int, b: int, h: int) -> int:
 def full_report(inst: Instance) -> SumReport:
     """All supported sums for one instance, computed by the fast paths.
 
-    t1 comes from the pass up the T2 chain and s from the S chain, so the
-    report's s = (a/2)*t1 + (a/2 + 1)*q_sum relates two routes.
+    q comes from the untraced Q loop; s, t1 and r2_sum from the sum of
+    squared remainders that the pass up the T2 chain gives, s with that q;
+    t2 from the pass; and t3 from the S walk, q and t2.  So the report's
+    r2_sum = b^2*sum i^2 - 2ab*t2 + a^2*t3 relates two routes.
     """
     inst, _ = inst.canonical()
     a, b, h = inst.a, inst.b, inst.h

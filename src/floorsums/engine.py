@@ -2,10 +2,10 @@
 
 Q = sum floor(ib/a), T2 = sum i*floor(ib/a) and T3 = sum floor(ib/a)^2, all
 over i = 1..h.  Untraced ``floor_sum``, ``remainder_sum``, ``t2``, ``t1``,
-``remainder_square_sum`` and ``t3_alt`` take their values from here; the
-paper's reciprocities in ``floor_sum``, ``square_sum`` and ``cross_sum``
-explain them.  Nothing here checks (a, b, h) or records a step: callers pass
-canonical arguments.
+``remainder_square_sum``, ``s_value`` and ``t3_alt`` take their values from
+here; the paper's reciprocities in ``floor_sum``, ``square_sum`` and
+``cross_sum`` explain them.  Nothing here checks (a, b, h) or records a
+step: callers pass canonical arguments.
 
 Q alone.  ``_floor_sum`` adds the full periods (below), then goes down the
 chain as the traced floor-sum walk does, with no step records: a division
@@ -69,12 +69,13 @@ only through b mod a, and a full period takes each j < a once, so
 
     sum r_i^2 (a,b;h) = (h // a)*sum_{j<a} j^2 + sum r_i^2 (a, b mod a; h mod a).
 
-The pass gives T2 and T3 of the tail, and ``models._derive`` turns them into
-sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3.
+The pass gives T2 and T3 of the tail, and ``models._r2`` turns them into
+sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3.  Untraced ``t1``,
+``remainder_square_sum`` and ``s_value`` take sum r_i^2 from here.
 """
 
 from .errors import InternalInvariantError
-from .models import _derive
+from .models import _r2
 from .numeric import shown, sum_squares
 
 
@@ -191,5 +192,5 @@ def _remainder_squares(a, b, h):
     q_blocks, m = divmod(h, a)
     b %= a
     _, t, u = _sums(a, b, m)
-    r2 = _derive(a, b, m, {"t2": t, "t3": u})["r2"]
+    r2 = _r2(a, b, m, t, u)
     return r2 + q_blocks * sum_squares(a - 1) if q_blocks else r2

@@ -4,9 +4,12 @@ the one place where the report's targets are derived from its three chains.
 Every target is a fixed formula of Q = sum floor(ib/a), S and
 T2 = sum i*floor(ib/a).  ``_TARGETS`` names the chains each target needs, and
 ``_derive`` applies the formulas; every caller that holds chain values, from
-``compute`` to ``full_report``, the single-sum functions and ``engine``,
-derives through it.  r2, t1, ir and qr are also formulas of T2 and
-T3 = sum floor(ib/a)^2.
+``compute`` to ``full_report`` and the single-sum functions, derives through
+it.  r2, t1, ir and qr are also formulas of T2 and T3 = sum floor(ib/a)^2,
+and S is one of Q and r2.  The two formulas that an untraced caller needs
+alone have their own functions, which ``_derive`` applies too: ``_r2``, which
+``engine._remainder_squares`` takes from the pass's T2 and T3, and ``_s``,
+which gives the untraced ``s_value`` from Q and that r2.
 """
 
 import math
@@ -83,6 +86,16 @@ _TARGETS = {
 }
 
 
+def _r2(a, b, h, t2, t3):
+    # sum r_i^2 of (a,b;h) from T2 and T3: square r_i = ib - a*q_i and sum.
+    return b * b * sum_squares(h) - 2 * a * b * t2 + a * a * t3
+
+
+def _s(a, q, r2):
+    # S of (a,b;h) from Q and sum r_i^2: S's definition with a^2*T1 = r2.
+    return Fraction(r2 + a * (a + 2) * q, 2 * a)
+
+
 def _derive(a, b, h, values: dict) -> dict:
     """Add to ``values`` (keyed by target) every target its values give, for a
     canonical (a, b, h); a value already there is kept.  Returns ``values``.
@@ -92,7 +105,7 @@ def _derive(a, b, h, values: dict) -> dict:
       r  = b*sum i - a*Q           r2 = a^2*T1 = 2a*S - a(a+2)*Q
       ir = b*sum i^2 - a*T2        r2 = b^2*sum i^2 - 2ab*T2 + a^2*T3
       qr = b*T2 - a*T3             t3 = (r2 - b^2*sum i^2 + 2ab*T2)/a^2
-      t1 = r2/a^2
+      t1 = r2/a^2                  s  = (r2 + a(a+2)*Q)/(2a)
     where the second r2 squares r_i = ib - a*q_i and t3 solves it for T3.
     r2 and t3 are integers by the mathematics, so a fraction there raises
     InternalInvariantError.
@@ -108,12 +121,14 @@ def _derive(a, b, h, values: dict) -> dict:
         if "ir" not in values:
             values["ir"] = b * squares - a * t2
         if "t3" in values and "r2" not in values:
-            values["r2"] = b * b * squares - 2 * a * b * t2 + a * a * values["t3"]
+            values["r2"] = _r2(a, b, h, t2, values["t3"])
         if "r2" in values and "t3" not in values:
             t3 = Fraction(values["r2"] - b * b * squares + 2 * a * b * t2, a * a)
             values["t3"] = exact_int(t3, "T3", a, b, h)
         if "t3" in values and "qr" not in values:
             values["qr"] = b * t2 - a * values["t3"]
+    if "q" in values and "r2" in values and "s" not in values:
+        values["s"] = _s(a, values["q"], values["r2"])
     if "r2" in values and "t1" not in values:
         values["t1"] = Fraction(values["r2"], a * a)
     return values

@@ -18,10 +18,16 @@ Each rule returns its contribution times the sign the walk carries, and
 ``trace.walk`` drives them; ``_walk`` (S) never checks (a, b, h), the public
 functions do.  All arithmetic is exact rational.
 
-Untraced, ``t1`` and ``remainder_square_sum`` walk neither S nor Q: they
-take sum r_i^2 from ``engine._remainder_squares``, one integer pass up the
-T2 chain, and T1 = sum r_i^2 / a^2.  A traced ``t1`` walks S, then Q, and
-takes T1 = (2S - (a+2)Q)/a.
+Untraced, ``s_value``, ``t1`` and ``remainder_square_sum`` walk neither S
+nor Q: they take sum r_i^2 from ``engine._remainder_squares``, one integer
+pass up the T2 chain, and T1 = sum r_i^2 / a^2; ``s_value`` also takes Q
+from ``engine._floor_sum`` and S = (sum r_i^2 + a(a+2)Q)/(2a) by
+``models._s``.  A traced ``s_value`` walks S, and a traced ``t1`` walks S,
+then Q, and takes T1 = (2S - (a+2)Q)/a.  Past these traces, the S walk
+serves only ``cross_sum``: the T2 reciprocity rule, which
+``t2_reciprocity_rhs`` and a traced ``t2`` evaluate, and ``t3``, the one
+untraced sum that walks S, so that its route stays independent of
+``t3_alt``'s pass.
 
 With n0 = (-b(h+1)) mod a, n = ab - a + n0 and H the bound of the swapped
 sum, the paper's definitions of gamma, eta1 and eta2 reduce to integer
@@ -53,7 +59,7 @@ from fractions import Fraction
 from .engine import _q_blocks, _remainder_squares
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _walk as _floor_walk
-from .models import Instance, _derive
+from .models import Instance, _derive, _s
 from .numeric import exact_int, require_coprime, require_ints, shown
 from .trace import walk
 
@@ -153,8 +159,15 @@ def _walk(a, b, h, sink):
 
 
 def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
-    """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a)."""
+    """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a).
+
+    Untraced, S comes from sum r_i^2, taken from one pass up the T2 chain,
+    and the untraced Q: S = (sum r_i^2 + a(a+2)Q)/(2a).  A trace gets the
+    paper's S(a,b;h) walk, whose replay() is S.
+    """
     a, b, h = _canonical(a, b, h)
+    if trace is None:
+        return _s(a, _floor_walk(a, b, h), _remainder_squares(a, b, h))
     return _walk(a, b, h, trace)
 
 

@@ -1,6 +1,6 @@
 """Every target of a report is derived in one place, ``models._derive``, from
-the chain values Q, S and T2, or from the pass's T2 and T3; the single-sum
-functions and the target table agree with it."""
+the chain values Q, S and T2, or from the pass's T2 and T3, which with Q
+also give S; the single-sum functions and the target table agree with it."""
 
 import itertools
 import math
@@ -76,6 +76,20 @@ def test_derive_gives_the_targets_the_table_names(inst, given):
         wanted = {key for key, (_, chains) in models._TARGETS.items() if set(chains) <= given}
     assert set(values) == wanted
     assert values == {key: fields[key] for key in wanted}
+
+
+def test_s_from_q_and_the_remainder_squares_on_the_grid():
+    # s = (r2 + a(a+2)*Q)/(2a), the rule untraced s_value takes, from the
+    # oracle's r2 and from the pass's T2 and T3; with the latter, Q and the
+    # pass give every target.
+    for a, b, h in GRID:
+        report = oracle_report(Instance(a, b, h))
+        inst = report.instance
+        fields = {key: getattr(report, field) for key, (field, _) in models._TARGETS.items()}
+        values = models._derive(inst.a, inst.b, inst.h, {"q": report.q_sum, "r2": report.r2_sum})
+        assert values["s"] == report.s, (a, b, h)
+        given = {key: fields[key] for key in ("q", "t2", "t3")}
+        assert models._derive(inst.a, inst.b, inst.h, given) == fields, (a, b, h)
 
 
 def test_derive_keeps_a_given_value():

@@ -1,5 +1,5 @@
-"""The integer pass up the T2 chain that untraced ``t2``, ``t3_alt``, ``t1``
-and ``remainder_square_sum`` take.
+"""The integer pass up the T2 chain that untraced ``t2``, ``t3_alt``, ``t1``,
+``remainder_square_sum`` and ``s_value`` take.
 
 ``engine._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
 T2 chain, carrying the three sums from level to level by the floor-sum
@@ -20,7 +20,10 @@ period from a second pass for (a,b;a-1): no S or floor-sum step, and never
 the period term's Dedekind-sum formula, which ``t3`` past the period uses.
 Untraced ``t1`` and ``remainder_square_sum`` take sum r_i^2 from one pass
 with no S or floor-sum step, plus, past the period, the full periods' sum
-of squares, and ``t1`` equals the traced ``t1``, which walks S and Q.  The
+of squares, and ``t1`` equals the traced ``t1``, which walks S and Q.
+Untraced ``s_value`` takes the same sum r_i^2 and one untraced Q, and
+equals the traced ``s_value``, which walks S; ``t3`` still walks S, one
+S reciprocity step per state of the S chain.  The
 counts are of ``sum_squares`` and ``_sums`` calls made in ``engine`` and in
 ``cross_sum``.  The untraced Q, ``engine._floor_sum``, must equal the pass's
 Q at every state of the chain.  The pass's one exactness check, the parity
@@ -43,7 +46,9 @@ from floorsums import (
     floor_sum,
     full_report,
     remainder_square_sum,
+    s_value,
     square_sum,
+    sum_squares,
     t1,
     t2,
     t3,
@@ -324,14 +329,55 @@ def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, c
     assert calls == no_walk(passes=1, squares=int(h >= a))
 
 
+@pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
+@pytest.mark.parametrize(
+    "b_periods, h_periods",
+    [((0, 1), (0, 1)), ((0, 1), (1, 3)), ((1, 3), (0, 3))],
+    ids=["h_below_a", "h_past_a", "b_above_a"],
+)
+def test_untraced_s_value_equals_traced(bits, b_periods, h_periods):
+    # The traced s_value walks S; the untraced one takes sum r_i^2 from the
+    # pass and Q from the untraced Q loop.
+    a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
+    trace = Trace()
+    assert s_value(a, b, h) == s_value(a, b, h, trace) == trace.replay(), (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+def test_s_value_makes_one_pass_and_no_s_step(bits, h_periods, monkeypatch):
+    # One pass for sum r_i^2 and one untraced Q, and past the period only
+    # the full periods' sum_{j<a} j^2.
+    a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
+    _, calls = step_calls(monkeypatch, lambda: s_value(a, b, h))
+    assert calls == {**no_walk(passes=1, squares=int(h >= a)), "_floor_sum": 1}
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
+def test_t3_makes_one_s_step_per_s_reciprocity_state(bits, h_periods, monkeypatch):
+    # t3 walks S untraced: one _terms call per reciprocity step of the
+    # traced S walk, and one pass, for its T2.
+    a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
+    trace = Trace()
+    s_value(a, b, h, trace)
+    states = sum(step.rule == RULE_RECIPROCITY for step in trace.steps)
+    _, calls = step_calls(monkeypatch, lambda: t3(a, b, h))
+    assert states > 0
+    assert (calls["_terms"], calls["_sums"]) == (states, 1)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 def test_full_report_s_agrees_with_t1_and_q(bits, h_periods):
-    # full_report takes s from the S chain and t1 from the pass, so the
-    # definition s = (a/2)*t1 + (a/2 + 1)*q ties two routes together.
+    # full_report takes s and t1 from the same sum r_i^2 of the pass, so the
+    # definition s = (a/2)*t1 + (a/2 + 1)*q holds by construction; its t3
+    # walks S, so r2 = b^2*sum i^2 - 2ab*t2 + a^2*t3 ties two routes together.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=h_periods)
     report = full_report(Instance(a, b, h))
     assert report.s == Fraction(a, 2) * report.t1 + (Fraction(a, 2) + 1) * report.q_sum, (a, b, h)
+    r2 = b * b * sum_squares(h) - 2 * a * b * report.t2 + a * a * report.t3
+    assert report.r2_sum == r2, (a, b, h)
 
 
 class OffByOne(int):
