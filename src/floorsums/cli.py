@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import frobenius as frob
 from . import oracle
 from .cross_sum import full_report, t2
+from .engine import _report
 from .errors import InvalidArgumentError
 from .floor_sum import floor_sum
 from .models import _TARGETS, Instance, _derive
@@ -140,15 +141,20 @@ def cmd_compute(args) -> int:
             trace_rows.extend(_trace_json(trace.steps, name))
         return value
 
-    # Each chain (Q, S, T2) runs at most once, for the targets derived from
-    # it; every target is a formula of the chain values.
+    # Every target is a formula of the values computed here.  Untraced, one
+    # engine call gives Q, T2 and sum r_i^2, except that targets from Q alone
+    # take the Q loop, which costs half a pass; traced, each chain (Q, S, T2)
+    # the targets need runs once.
     values = {}
-    if "q" in chains:
-        values["q"] = run("q", floor_sum, canon)
-    if "s" in chains:
-        values["s"] = run("s", s_value, a, b, h)
-    if "t2" in chains:
-        values["t2"] = run("t2", t2, a, b, h)
+    if not args.trace and chains != {"q"}:
+        values["q"], values["t2"], values["r2"] = _report(a, b, h)
+    else:
+        if "q" in chains:
+            values["q"] = run("q", floor_sum, canon)
+        if "s" in chains:
+            values["s"] = run("s", s_value, a, b, h)
+        if "t2" in chains:
+            values["t2"] = run("t2", t2, a, b, h)
     _derive(a, b, h, values)
     sums = {target: _fmt(values[target]) for target in targets}
 

@@ -2,9 +2,9 @@
 
 Q = sum floor(ib/a), T2 = sum i*floor(ib/a) and T3 = sum floor(ib/a)^2, all
 over i = 1..h.  Untraced ``floor_sum``, ``remainder_sum``, ``t2``, ``t1``,
-``remainder_square_sum``, ``s_value`` and ``t3_alt`` take their values from
-here; the paper's reciprocities in ``floor_sum``, ``square_sum`` and
-``cross_sum`` explain them.  Nothing here checks (a, b, h) or records a
+``remainder_square_sum``, ``s_value``, ``t3_alt`` and ``compute`` take their
+values from here; the paper's reciprocities in ``floor_sum``, ``square_sum``
+and ``cross_sum`` explain them.  Nothing here checks (a, b, h) or records a
 step: callers pass canonical arguments.
 
 Q alone.  ``_floor_sum`` adds the full periods (below), then goes down the
@@ -72,11 +72,17 @@ only through b mod a, and a full period takes each j < a once, so
 The pass gives T2 and T3 of the tail, and ``models._r2`` turns them into
 sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3.  Untraced ``t1``,
 ``remainder_square_sum`` and ``s_value`` take sum r_i^2 from here.
+
+The report.  ``_report`` gives Q, T2 and sum r_i^2 of (a,b;h) from one pass
+for the tail (a,b;h mod a) and the three full-period terms above; for a = 1
+every floor is ib, so they are b*sum i, b*sum i^2 and 0.  Every target of
+the report is a formula of these three (``models._derive``), and untraced
+``cli.cmd_compute`` takes them from one ``_report`` call.
 """
 
 from .errors import InternalInvariantError
 from .models import _r2
-from .numeric import shown, sum_squares
+from .numeric import shown, sum_first, sum_squares
 
 
 def _full_period(a: int, b: int) -> int:
@@ -194,3 +200,21 @@ def _remainder_squares(a, b, h):
     _, t, u = _sums(a, b, m)
     r2 = _r2(a, b, m, t, u)
     return r2 + q_blocks * sum_squares(a - 1) if q_blocks else r2
+
+
+def _report(a, b, h):
+    # (Q, T2, sum r_i^2) of canonical (a,b;h) from one pass and the full
+    # periods (see the module docstring); a = 1 covers b = 0.  _r2 takes b
+    # unreduced: r_i = ib - a*floor(ib/a) for any b.
+    if a == 1:
+        return b * sum_first(h), b * sum_squares(h), 0
+    q_blocks, m = divmod(h, a)
+    q, t, u = _sums(a, b, m)
+    r2 = _r2(a, b, m, t, u)
+    if not q_blocks:
+        return q, t, r2
+    return (
+        q + _q_blocks(a, b, q_blocks, m),
+        t + _blocks(a, b, q_blocks, m, q),
+        r2 + q_blocks * sum_squares(a - 1),
+    )

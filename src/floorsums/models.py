@@ -8,8 +8,10 @@ T2 = sum i*floor(ib/a).  ``_TARGETS`` names the chains each target needs, and
 it.  r2, t1, ir and qr are also formulas of T2 and T3 = sum floor(ib/a)^2,
 and S is one of Q and r2.  The two formulas that an untraced caller needs
 alone have their own functions, which ``_derive`` applies too: ``_r2``, which
-``engine._remainder_squares`` takes from the pass's T2 and T3, and ``_s``,
-which gives the untraced ``s_value`` from Q and that r2.
+``engine._remainder_squares`` and ``engine._report`` take from the pass's T2
+and T3, and ``_s``, which gives the untraced ``s_value`` from Q and that r2.
+Untraced ``compute`` derives every target from the Q, T2 and r2 of one
+``engine._report`` call.
 """
 
 import math

@@ -18,6 +18,7 @@ from floorsums import (
     SumReport,
     cli,
     cross_sum,
+    engine,
     floor_sum,
     full_report,
     models,
@@ -248,43 +249,60 @@ class TestCompute:
         fields = [field for field, _ in models._TARGETS.values()]
         assert fields == [field.name for field in dataclasses.fields(SumReport)[1:]]
 
-    def test_each_chain_runs_at_most_once(self, capsys, monkeypatch):
-        # Counts the outermost calls of each chain, through every module name
-        # it can be called by; the chains' own nested calls are not counted.
-        # The chains that run are exactly those the target table names.
-        table_name = {"floor_sum": "q", "s_value": "s", "t2": "t2"}
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        """A Counter of the calls of each named function, through every
+        module name it can be called by, nested calls included."""
         calls = Counter()
-        depth = [0]
 
-        def counting(name, chain):
+        def counting(name, function):
             def wrapper(*args, **kwargs):
-                if depth[0] == 0:
-                    calls[name] += 1
-                depth[0] += 1
-                try:
-                    return chain(*args, **kwargs)
-                finally:
-                    depth[0] -= 1
+                calls[name] += 1
+                return function(*args, **kwargs)
             return wrapper
 
         floor_sum_module = importlib.import_module("floorsums.floor_sum")
-        for module in (cli, cross_sum, square_sum, floor_sum_module):
-            for name in ("floor_sum", "s_value", "t2"):
+        for module in (cli, cross_sum, square_sum, floor_sum_module, engine):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    @staticmethod
+    def compute_argv(targets, *extra):
+        argv = ["compute", "--a", "8411", "--b", "2732", "--h", "1221", *extra]
+        return argv if targets is None else argv + ["--targets", ",".join(targets)]
+
+    def test_each_chain_runs_at_most_once(self, capsys, monkeypatch):
+        # Traced: the chains that run are exactly those the target table
+        # names, each once; the nested walks of a traced t2 call no chain.
+        table_name = {"floor_sum": "q", "s_value": "s", "t2": "t2"}
+        calls = self.count_calls(monkeypatch, table_name)
         for targets in [None] + TARGET_LISTS:
-            for trace in ((), ("--trace",)):
-                calls.clear()
-                argv = ["compute", "--a", "8411", "--b", "2732", "--h", "1221", *trace]
-                if targets is not None:
-                    argv += ["--targets", ",".join(targets)]
-                assert run(capsys, *argv)[0] == 0
-                assert max(calls.values()) == 1, (targets, calls)
-                wanted = {chain for target in targets or TARGETS
-                          for chain in models._TARGETS[target][1]}
-                assert {table_name[name] for name in calls} == wanted, (targets, calls)
-                if targets is None:
-                    assert calls == {"floor_sum": 1, "s_value": 1, "t2": 1}
+            calls.clear()
+            assert run(capsys, *self.compute_argv(targets, "--trace"))[0] == 0
+            assert max(calls.values()) == 1, (targets, calls)
+            wanted = {chain for target in targets or TARGETS
+                      for chain in models._TARGETS[target][1]}
+            assert {table_name[name] for name in calls} == wanted, (targets, calls)
+            if targets is None:
+                assert calls == {"floor_sum": 1, "s_value": 1, "t2": 1}
+
+    def test_untraced_compute_makes_one_engine_call(self, capsys, monkeypatch):
+        # Untraced: targets from the q chain alone take one Q loop and no
+        # pass; every other list takes one _report, that is one pass, and
+        # runs no chain and no Q loop.
+        names = ("_report", "_sums", "_floor_sum", "floor_sum", "s_value", "t2")
+        calls = self.count_calls(monkeypatch, names)
+        for targets in [None] + TARGET_LISTS:
+            calls.clear()
+            assert run(capsys, *self.compute_argv(targets))[0] == 0
+            q_alone = {chain for target in targets or TARGETS
+                       for chain in models._TARGETS[target][1]} == {"q"}
+            if q_alone:
+                assert calls == {"floor_sum": 1, "_floor_sum": 1}, (targets, calls)
+            else:
+                assert calls == {"_report": 1, "_sums": 1}, (targets, calls)
 
 
 class TestVerify:

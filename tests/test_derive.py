@@ -3,12 +3,14 @@ the chain values Q, S and T2, or from the pass's T2 and T3, which with Q
 also give S; the single-sum functions and the target table agree with it."""
 
 import itertools
+import json
 import math
 
 import pytest
 
 from floorsums import (
     Instance,
+    cli,
     floor_sum,
     models,
     oracle_report,
@@ -98,3 +100,12 @@ def test_derive_keeps_a_given_value():
     assert models._derive(5, 3, 4, values) is values
     assert (values["r"], values["t1"], values["t3"]) == ("kept", "kept", report.t3)
     assert set(values) == set(models._TARGETS)
+
+
+def test_compute_matches_the_oracle_on_the_grid(capsys):
+    # Untraced compute takes all nine targets from one engine call.
+    for a, b, h in GRID:
+        assert cli.main(["compute", "--a", str(a), "--b", str(b), "--h", str(h)]) == 0
+        report = oracle_report(Instance(a, b, h))
+        want = {key: cli._fmt(getattr(report, field)) for key, (field, _) in models._TARGETS.items()}
+        assert json.loads(capsys.readouterr().out)["sums"] == want, (a, b, h)

@@ -14,7 +14,7 @@ from floorsums import engine
 PACKAGE = Path(engine.__file__).resolve().parent
 MOVED = (
     "_sums", "_full_period", "_period_term", "_blocks", "_t3_blocks",
-    "_remainder_squares", "_q_blocks", "_floor_sum",
+    "_remainder_squares", "_q_blocks", "_floor_sum", "_report",
 )
 
 

@@ -1,5 +1,5 @@
 """The integer pass up the T2 chain that untraced ``t2``, ``t3_alt``, ``t1``,
-``remainder_square_sum`` and ``s_value`` take.
+``remainder_square_sum``, ``s_value`` and ``compute`` take.
 
 ``engine._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
 T2 chain, carrying the three sums from level to level by the floor-sum
@@ -22,8 +22,11 @@ Untraced ``t1`` and ``remainder_square_sum`` take sum r_i^2 from one pass
 with no S or floor-sum step, plus, past the period, the full periods' sum
 of squares, and ``t1`` equals the traced ``t1``, which walks S and Q.
 Untraced ``s_value`` takes the same sum r_i^2 and one untraced Q, and
-equals the traced ``s_value``, which walks S; ``t3`` still walks S, one
-S reciprocity step per state of the S chain.  The
+equals the traced ``s_value``, which walks S.  ``engine._report``, which
+untraced ``compute`` takes all nine targets from, gives Q, T2 and sum r_i^2
+from one pass and the full periods, and equals ``floor_sum``, ``t2`` and
+``remainder_square_sum``; untraced ``compute`` equals traced ``compute``.
+``t3`` still walks S, one S reciprocity step per state of the S chain.  The
 counts are of ``sum_squares`` and ``_sums`` calls made in ``engine`` and in
 ``cross_sum``.  The untraced Q, ``engine._floor_sum``, must equal the pass's
 Q at every state of the chain.  The pass's one exactness check, the parity
@@ -33,6 +36,7 @@ the state in one short line.
 
 import functools
 import importlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -42,6 +46,7 @@ import pytest
 from floorsums import (
     Instance,
     InternalInvariantError,
+    cli,
     cross_sum,
     floor_sum,
     full_report,
@@ -365,6 +370,48 @@ def test_t3_makes_one_s_step_per_s_reciprocity_state(bits, h_periods, monkeypatc
     _, calls = step_calls(monkeypatch, lambda: t3(a, b, h))
     assert states > 0
     assert (calls["_terms"], calls["_sums"]) == (states, 1)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
+@pytest.mark.parametrize(
+    "b_periods, h_periods",
+    [((0, 1), (0, 1)), ((0, 1), (1, 3)), ((1, 3), (0, 3))],
+    ids=["h_below_a", "h_past_a", "b_above_a"],
+)
+def test_report_equals_the_single_sums(bits, b_periods, h_periods):
+    # _report's one pass and full periods against the Q loop, t2's pass and
+    # the pass for (a, b mod a; h mod a).
+    a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
+    want = (floor_sum(Instance(a, b, h)), t2(a, b, h), remainder_square_sum(a, b, h))
+    assert engine._report(a, b, h) == want, (a, b, h)
+
+
+def test_report_on_the_edge_cases():
+    # a = 1 (so b = 0 after canonicalisation), h = 0, and non-coprime pairs,
+    # whose canonical form _report takes.
+    for a, b, h in [(1, 0, 0), (1, 0, 9), (1, 5, 0), (1, 5, 9), (7, 3, 0), (7, 10, 0),
+                    (12, 8, 0), (12, 8, 5), (12, 8, 40), (9, 0, 20), (6, 15, 17)]:
+        inst, _ = Instance(a, b, h).canonical()
+        want = (floor_sum(inst), t2(a, b, h), remainder_square_sum(a, b, h))
+        assert engine._report(inst.a, inst.b, inst.h) == want, (a, b, h)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize(
+    "b_periods, h_periods",
+    [((0, 1), (0, 1)), ((0, 1), (1, 3)), ((1, 3), (0, 3))],
+    ids=["h_below_a", "h_past_a", "b_above_a"],
+)
+def test_untraced_compute_equals_traced(bits, b_periods, h_periods, capsys):
+    # Untraced compute derives its nine targets from one _report; traced, it
+    # runs the paper's chains.  Traced T2 takes about 15 s at 1024 bits.
+    a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
+    argv = ["compute", "--a", str(a), "--b", str(b), "--h", str(h)]
+    sums = []
+    for extra in ([], ["--trace"]):
+        assert cli.main(argv + extra) == 0
+        sums.append(json.loads(capsys.readouterr().out)["sums"])
+    assert sums[0] == sums[1], (a, b, h)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
