@@ -130,7 +130,6 @@ def cmd_compute(args) -> int:
     for target in targets:
         if target not in TARGETS:
             raise InvalidArgumentError(f"unknown target {shown(target)}")
-    chains = {chain for target in targets for chain in _TARGETS[target][1]}
 
     trace_rows = []
 
@@ -142,13 +141,13 @@ def cmd_compute(args) -> int:
         return value
 
     # Every target is a formula of the values computed here.  Untraced, one
-    # engine call gives Q, T2 and sum r_i^2, except that targets from Q alone
-    # take the Q loop, which costs half a pass; traced, each chain (Q, S, T2)
+    # engine call gives Q, T2 and sum r_i^2; traced, each chain (Q, S, T2)
     # the targets need runs once.
     values = {}
-    if not args.trace and chains != {"q"}:
+    if not args.trace:
         values["q"], values["t2"], values["r2"] = _report(a, b, h)
     else:
+        chains = {chain for target in targets for chain in _TARGETS[target][1]}
         if "q" in chains:
             values["q"] = run("q", floor_sum, canon)
         if "s" in chains:

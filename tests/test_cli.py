@@ -289,20 +289,14 @@ class TestCompute:
                 assert calls == {"floor_sum": 1, "s_value": 1, "t2": 1}
 
     def test_untraced_compute_makes_one_engine_call(self, capsys, monkeypatch):
-        # Untraced: targets from the q chain alone take one Q loop and no
-        # pass; every other list takes one _report, that is one pass, and
-        # runs no chain and no Q loop.
+        # Untraced: every list takes one _report, that is one pass, and runs
+        # no chain and no Q loop.
         names = ("_report", "_sums", "_floor_sum", "floor_sum", "s_value", "t2")
         calls = self.count_calls(monkeypatch, names)
         for targets in [None] + TARGET_LISTS:
             calls.clear()
             assert run(capsys, *self.compute_argv(targets))[0] == 0
-            q_alone = {chain for target in targets or TARGETS
-                       for chain in models._TARGETS[target][1]} == {"q"}
-            if q_alone:
-                assert calls == {"floor_sum": 1, "_floor_sum": 1}, (targets, calls)
-            else:
-                assert calls == {"_report": 1, "_sums": 1}, (targets, calls)
+            assert calls == {"_report": 1, "_sums": 1}, (targets, calls)
 
 
 class TestVerify:
