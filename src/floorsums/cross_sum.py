@@ -27,33 +27,36 @@ steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
-Untraced, ``t2`` runs none of these walks: it takes T2 of (a,b;h mod a)
-and its Q from ``engine._sums``, the one integer pass up the chain, and for
-h >= a adds the full periods by ``engine._blocks``, the period rule's block
-formula, whose period term T2(a,b;a-1) is a Dedekind sum in closed form.
-The ``engine`` docstring derives all three.  A direct t2(a, b, a-1) does not
-use that closed form: traced, it walks the paper's chain, and untraced it
-is one pass up that chain.
+Untraced, ``t2`` runs none of these walks: it takes T2 from
+``engine._report``, which runs the one integer pass up the chain for
+(a,b;h mod a) and for h >= a adds the full periods by ``engine._blocks``,
+the period rule's block formula, whose period term T2(a,b;a-1) is a
+Dedekind sum in closed form.  The ``engine`` docstring derives all three.
+A direct t2(a, b, a-1) does not use that closed form: traced, it walks the
+paper's chain, and untraced it is one pass up that chain.
 
 t3 walks S, takes Q from ``engine._floor_sum`` and T2 from ``t2``, and
 derives T3 from T1 and T2 by ``models._derive``, which squares
 floor(ib/a) = ib/a - {ib/a}.  It is the one untraced sum that walks S:
-untraced ``s_value`` and ``t1`` take sum r_i^2 from the pass.  t3_alt is
-an independent second route used for cross-validation: it takes T3 and Q of
-(a,b;h mod a) from ``engine._sums`` and, for h >= a, the full periods from
-``engine._t3_blocks``, which takes T3(a,b;a-1) from the pass and never from
-the period term, so that t3 == t3_alt cross-checks the period term too.
+untraced ``s_value`` and ``t1`` take sum r_i^2 from ``engine._report``.
+t3_alt is an independent second route used for cross-validation: it takes
+T3 and Q of (a,b;h mod a) from ``engine._sums`` and, for h >= a, the full
+periods from ``engine._t3_blocks``, which takes T3(a,b;a-1) from the pass
+and never from the period term, so that t3 == t3_alt cross-checks the
+period term too.
 """
 
 from fractions import Fraction
 
-from .engine import _blocks, _sums, _t3_blocks
+from .engine import _blocks, _report, _sums, _t3_blocks
 from .errors import InvalidArgumentError
-from .floor_sum import floor_sum, remainder_sum
+from .floor_sum import floor_sum
 from .floor_sum import _walk as _floor_walk
 from .models import _TARGETS, Instance, SumReport, _derive
 from .numeric import exact_int, require_coprime, require_ints, shown, sum_squares
-from .square_sum import _canonical, s_value, t1
+# s_value is not called here; perfbench/tracing.py swaps cross_sum.s_value by
+# name, so the name stays importable.
+from .square_sum import _canonical, remainder_square_sum, s_value  # noqa: F401
 from .square_sum import _walk as _s_walk
 from .trace import walk
 
@@ -99,13 +102,7 @@ def t2(a: int, b: int, h: int, trace=None) -> int:
     if trace is not None:
         value = walk(a, b, h, trace, _division, _reciprocity, _period, _unit)
         return exact_int(value, "T2", a, b, h)
-    if a == 1:
-        return b * sum_squares(h)
-    # The chain's T2 of (a,b;h mod a) and, for h >= a, the full periods from
-    # its Q.
-    q_blocks, m = divmod(h, a)
-    q, t, _ = _sums(a, b, m)
-    return t + _blocks(a, b, q_blocks, m, q) if q_blocks else t
+    return _report(a, b, h)[1]
 
 
 def t3(a: int, b: int, h: int) -> int:
@@ -132,15 +129,15 @@ def t3_alt(a: int, b: int, h: int) -> int:
 def full_report(inst: Instance) -> SumReport:
     """All supported sums for one instance, computed by the fast paths.
 
-    q comes from the untraced Q loop; s, t1 and r2_sum from the sum of
-    squared remainders that the pass up the T2 chain gives, s with that q;
-    t2 from the pass; and t3 from the S walk, q and t2.  So the report's
+    q comes from the untraced Q loop; r2_sum and t2 from ``engine._report``;
+    and t3 from the S walk, a second Q loop and t2.  ``models._derive`` gives
+    r, s, t1, ir and qr from these.  So the report's
     r2_sum = b^2*sum i^2 - 2ab*t2 + a^2*t3 relates two routes.
     """
     inst, _ = inst.canonical()
     a, b, h = inst.a, inst.b, inst.h
     values = _derive(a, b, h, {
-        "q": floor_sum(inst), "r": remainder_sum(inst), "s": s_value(a, b, h),
-        "t1": t1(a, b, h), "t2": t2(a, b, h), "t3": t3(a, b, h),
+        "q": floor_sum(inst), "r2": remainder_square_sum(a, b, h),
+        "t2": t2(a, b, h), "t3": t3(a, b, h),
     })
     return SumReport(inst, **{field: values[key] for key, (field, _) in _TARGETS.items()})

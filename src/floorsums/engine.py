@@ -1,11 +1,12 @@
 """The untraced arithmetic: Q, T2, T3 and sum r_i^2 in integers, with no walk.
 
 Q = sum floor(ib/a), T2 = sum i*floor(ib/a) and T3 = sum floor(ib/a)^2, all
-over i = 1..h.  Untraced ``floor_sum``, ``remainder_sum``, ``t2``, ``t1``,
-``remainder_square_sum``, ``s_value``, ``t3_alt`` and ``compute`` take their
-values from here; the paper's reciprocities in ``floor_sum``, ``square_sum``
-and ``cross_sum`` explain them.  Nothing here checks (a, b, h) or records a
-step: callers pass canonical arguments.
+over i = 1..h.  Untraced ``floor_sum`` and ``remainder_sum`` take Q from
+the Q loop, ``t3_alt`` takes T3 from the pass and its own full periods, and
+``t2``, ``t1``, ``remainder_square_sum``, ``s_value`` and ``compute`` take
+their values from one ``_report`` call; the paper's reciprocities in
+``floor_sum``, ``square_sum`` and ``cross_sum`` explain them.  Nothing here
+checks (a, b, h) or records a step: callers pass canonical arguments.
 
 Q alone.  ``_floor_sum`` adds the full periods (below), then goes down the
 chain as the traced floor-sum walk does, with no step records: a division
@@ -70,14 +71,17 @@ only through b mod a, and a full period takes each j < a once, so
     sum r_i^2 (a,b;h) = (h // a)*sum_{j<a} j^2 + sum r_i^2 (a, b mod a; h mod a).
 
 The pass gives T2 and T3 of the tail, and ``models._r2`` turns them into
-sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3.  Untraced ``t1``,
-``remainder_square_sum`` and ``s_value`` take sum r_i^2 from here.
+sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3.
 
 The report.  ``_report`` gives Q, T2 and sum r_i^2 of (a,b;h) from one pass
 for the tail (a,b;h mod a) and the three full-period terms above; for a = 1
-every floor is ib, so they are b*sum i, b*sum i^2 and 0.  Every target of
-the report is a formula of these three (``models._derive``), and untraced
-``cli.cmd_compute`` takes them from one ``_report`` call.
+every floor is ib, so they are b*sum i, b*sum i^2 and 0.  Only the Q loop
+and ``t3_alt``, the independent routes, split h into a tail and full
+periods on their own.  Every target of
+the report is a formula of these three (``models._derive``).  Untraced
+``cli.cmd_compute`` takes them all from one ``_report`` call, untraced
+``t2`` its T2, ``t1`` and ``remainder_square_sum`` its sum r_i^2, and
+``s_value`` S = (sum r_i^2 + a(a+2)Q)/(2a) from its Q and sum r_i^2.
 """
 
 from .errors import InternalInvariantError
@@ -191,15 +195,6 @@ def _t3_blocks(a, b, q_blocks, m, fm):
         + q_blocks * (_sums(a, b, a - 1)[2] + b * b)
         + m * q_blocks * q_blocks * b * b + 2 * q_blocks * b * fm
     )
-
-
-def _remainder_squares(a, b, h):
-    # sum r_i^2 of canonical (a,b;h) from one pass (see the module docstring).
-    q_blocks, m = divmod(h, a)
-    b %= a
-    _, t, u = _sums(a, b, m)
-    r2 = _r2(a, b, m, t, u)
-    return r2 + q_blocks * sum_squares(a - 1) if q_blocks else r2
 
 
 def _report(a, b, h):

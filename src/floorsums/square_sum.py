@@ -19,11 +19,12 @@ Each rule returns its contribution times the sign the walk carries, and
 functions do.  All arithmetic is exact rational.
 
 Untraced, ``s_value``, ``t1`` and ``remainder_square_sum`` walk neither S
-nor Q: they take sum r_i^2 from ``engine._remainder_squares``, one integer
-pass up the T2 chain, and T1 = sum r_i^2 / a^2; ``s_value`` also takes Q
-from ``engine._floor_sum`` and S = (sum r_i^2 + a(a+2)Q)/(2a) by
-``models._s``.  A traced ``s_value`` walks S, and a traced ``t1`` walks S,
-then Q, and takes T1 = (2S - (a+2)Q)/a.  Past these traces, the S walk
+nor Q: each makes one ``engine._report`` call, one integer pass up the T2
+chain plus the full periods, and takes sum r_i^2 from it, with
+T1 = sum r_i^2 / a^2; ``s_value`` also takes the same call's Q and
+S = (sum r_i^2 + a(a+2)Q)/(2a) by ``models._s``.  A traced ``s_value``
+walks S, and a traced ``t1`` walks S, then Q, and takes
+T1 = (2S - (a+2)Q)/a.  Past these traces, the S walk
 serves only ``cross_sum``: the T2 reciprocity rule, which
 ``t2_reciprocity_rhs`` and a traced ``t2`` evaluate, and ``t3``, the one
 untraced sum that walks S, so that its route stays independent of
@@ -56,7 +57,7 @@ plus that division.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import _q_blocks, _remainder_squares
+from .engine import _q_blocks, _report
 from .errors import InternalInvariantError, InvalidArgumentError
 from .floor_sum import _walk as _floor_walk
 from .models import Instance, _derive, _s
@@ -161,13 +162,14 @@ def _walk(a, b, h, sink):
 def s_value(a: int, b: int, h: int, trace=None) -> Fraction:
     """Exact S(a,b;h) = (a/2)*T1 + (a/2 + 1)*sum floor(ib/a).
 
-    Untraced, S comes from sum r_i^2, taken from one pass up the T2 chain,
-    and the untraced Q: S = (sum r_i^2 + a(a+2)Q)/(2a).  A trace gets the
-    paper's S(a,b;h) walk, whose replay() is S.
+    Untraced, S comes from the Q and sum r_i^2 of one pass up the T2 chain:
+    S = (sum r_i^2 + a(a+2)Q)/(2a).  A trace gets the paper's S(a,b;h) walk,
+    whose replay() is S.
     """
     a, b, h = _canonical(a, b, h)
     if trace is None:
-        return _s(a, _floor_walk(a, b, h), _remainder_squares(a, b, h))
+        q, _, r2 = _report(a, b, h)
+        return _s(a, q, r2)
     return _walk(a, b, h, trace)
 
 
@@ -180,7 +182,7 @@ def t1(a: int, b: int, h: int, trace=None) -> Fraction:
     """
     a, b, h = _canonical(a, b, h)
     if trace is None:
-        values = {"r2": _remainder_squares(a, b, h)}
+        values = {"r2": _report(a, b, h)[2]}
     else:
         values = {"s": _walk(a, b, h, trace), "q": _floor_walk(a, b, h, trace)}
     return _derive(a, b, h, values)["t1"]
@@ -188,4 +190,4 @@ def t1(a: int, b: int, h: int, trace=None) -> Fraction:
 
 def remainder_square_sum(a: int, b: int, h: int) -> int:
     """Exact sum_{i=1..h} r_i^2 = a^2 * T1(a,b;h) for the canonical (a,b)."""
-    return _remainder_squares(*_canonical(a, b, h))
+    return _report(*_canonical(a, b, h))[2]

@@ -3,35 +3,40 @@
 
 ``engine._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
 T2 chain, carrying the three sums from level to level by the floor-sum
-reciprocity and one division step, with no S; an untraced ``t2`` adds the
-full periods for h >= a.  A traced ``t2`` walks the paper's full chain and
-records every nested step, and it is the reference: the untraced value must
-equal it and its ``replay()``, at the top state and at every state the
-chain passes, for b < a and for a < b < 3a.  The pass's Q and T3 must equal
+reciprocity and one division step, with no S; ``engine._report``, from
+which an untraced ``t2`` takes T2, adds the full periods for h >= a.  A
+traced ``t2`` walks the paper's full chain and records every nested step,
+and it is the reference: the untraced value must equal it and its
+``replay()``, at the top state and at every state the chain passes, for
+b < a and for a < b < 3a.  The pass's Q and T3 must equal
 ``floor_sum`` and ``t3`` at the top state and at every reciprocity state.
 
-The pass must also do exactly its own work: one pass, no S reciprocity step
-(no ``square_sum._terms`` evaluation) and no floor-sum walk, traced or
-untraced, also when h >= a and the period rule needs Q(a,b;m).  The pass
-takes its sums of i and i^2 inline, so the only ``sum_squares`` calls are
-those of the full periods: the block sum and the period term past the
-period.  ``t3_alt`` takes all it needs from the same pass, and past the
-period from a second pass for (a,b;a-1): no S or floor-sum step, and never
-the period term's Dedekind-sum formula, which ``t3`` past the period uses.
-Untraced ``t1`` and ``remainder_square_sum`` take sum r_i^2 from one pass
-with no S or floor-sum step, plus, past the period, the full periods' sum
-of squares, and ``t1`` equals the traced ``t1``, which walks S and Q.
-Untraced ``s_value`` takes the same sum r_i^2 and one untraced Q, and
-equals the traced ``s_value``, which walks S.  ``engine._report``, which
-untraced ``compute`` takes all nine targets from, gives Q, T2 and sum r_i^2
-from one pass and the full periods, and equals ``floor_sum``, ``t2`` and
-``remainder_square_sum``; untraced ``compute`` equals traced ``compute``.
-``t3`` still walks S, one S reciprocity step per state of the S chain.  The
-counts are of ``sum_squares`` and ``_sums`` calls made in ``engine`` and in
-``cross_sum``.  The untraced Q, ``engine._floor_sum``, must equal the pass's
-Q at every state of the chain.  The pass's one exactness check, the parity
-of 2*T2, must turn a wrong sum into an ``InternalInvariantError`` that names
-the state in one short line.
+The pass must also do exactly its own work: one ``_report`` call, one
+pass, no S reciprocity step (no ``square_sum._terms`` evaluation) and no
+floor-sum walk, traced or untraced, also when h >= a and the period rule
+needs Q(a,b;m).  The pass takes its sums of i and i^2 inline, so the only
+``sum_squares`` calls are those of ``_report``'s full periods past the
+period: the block sum and the period term of T2, and the sum of squares of
+sum r_i^2.  ``t3_alt`` takes all it needs from the same pass, and past the
+period from a second pass for (a,b;a-1), with no ``_report``: no S or
+floor-sum step, and never the period term's Dedekind-sum formula, which
+``t3`` past the period uses.  Untraced ``t1``, ``remainder_square_sum`` and
+``s_value`` each make the same one ``_report`` call, with no S or
+floor-sum step; ``t1`` equals the traced ``t1``, which walks S and Q, and
+``s_value`` the traced ``s_value``, which walks S.  ``engine._report``,
+which untraced ``compute`` takes all nine targets from, gives Q, T2 and
+sum r_i^2 from one pass and the full periods, and equals references that
+do not call it: Q from the Q loop, sum r_i^2 from the traced S walk and
+that Q, T2 from the traced ``t2`` or from ``t3_alt`` and that sum r_i^2,
+and all three from the oracle on the edge cases.  Untraced ``compute``
+equals traced ``compute``.  ``t3`` still walks S, one S reciprocity step
+per state of the S chain, and ``full_report`` makes three ``_report``
+calls and two Q loops besides it.  The counts are of ``_report`` calls
+made from ``cross_sum`` and ``square_sum``, and of ``sum_squares`` and
+``_sums`` calls made in ``engine`` and in ``cross_sum``.  The untraced Q,
+``engine._floor_sum``, must equal the pass's Q at every state of the chain.
+The pass's one exactness check, the parity of 2*T2, must turn a wrong sum
+into an ``InternalInvariantError`` that names the state in one short line.
 """
 
 import functools
@@ -50,6 +55,7 @@ from floorsums import (
     cross_sum,
     floor_sum,
     full_report,
+    oracle_report,
     remainder_square_sum,
     s_value,
     square_sum,
@@ -90,9 +96,11 @@ def levels(a, b, h):
 def step_calls(monkeypatch, call):
     """(value, calls) of call(): calls counts the S reciprocity steps
     (``_terms``), the traced floor-sum reciprocity steps (``_reciprocity``),
-    the untraced floor sums (``_floor_sum``), and the passes (``_sums``) and
-    ``sum_squares`` calls made in engine and in cross_sum."""
-    calls = dict.fromkeys(("_terms", "_reciprocity", "_floor_sum", "_sums", "sum_squares"), 0)
+    the untraced floor sums (``_floor_sum``), the ``_report`` calls made from
+    cross_sum and square_sum, and the passes (``_sums``) and ``sum_squares``
+    calls made in engine and in cross_sum."""
+    names = ("_terms", "_reciprocity", "_floor_sum", "_report", "_sums", "sum_squares")
+    calls = dict.fromkeys(names, 0)
 
     def counted(module, name):
         original = getattr(module, name)
@@ -110,13 +118,25 @@ def step_calls(monkeypatch, call):
         for module in (engine, cross_sum):
             for name in ("_sums", "sum_squares"):
                 patch.setattr(module, name, counted(module, name))
+        for module in (cross_sum, square_sum):
+            patch.setattr(module, "_report", counted(module, "_report"))
         value = call()
     return value, calls
 
 
-def no_walk(passes, squares):
+def no_walk(reports, passes, squares):
     """The calls of a computation that makes no S or floor-sum step."""
-    return {"_terms": 0, "_reciprocity": 0, "_floor_sum": 0, "_sums": passes, "sum_squares": squares}
+    return {
+        "_terms": 0, "_reciprocity": 0, "_floor_sum": 0,
+        "_report": reports, "_sums": passes, "sum_squares": squares,
+    }
+
+
+def s_states(a, b, h):
+    """The reciprocity steps of the traced S walk of (a, b, h)."""
+    trace = Trace()
+    s_value(a, b, h, trace)
+    return sum(step.rule == RULE_RECIPROCITY for step in trace.steps)
 
 
 @functools.cache
@@ -256,12 +276,13 @@ def test_untraced_q_equals_the_pass_at_every_state(bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_pass_past_the_period_makes_no_s_or_floor_sum_step(bits, monkeypatch):
-    # The pass gives the period rule's Q(a,b;m) too: one pass, no S or
-    # floor-sum step, and two sums of squares, both the period rule's (its
-    # block sum and the period term).
+    # The pass gives the period rule's Q(a,b;m) too: one _report, one pass,
+    # no S or floor-sum step, and _report's three sums of squares, two the
+    # period rule's (its block sum and the period term) and one the full
+    # periods' sum_{j<a} j^2 of sum r_i^2.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
     _, calls = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert calls == no_walk(passes=1, squares=2)
+    assert calls == no_walk(reports=1, passes=1, squares=3)
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
@@ -270,18 +291,18 @@ def test_pass_makes_no_s_or_floor_sum_step(bits, monkeypatch):
     # bits); the pass makes none, and takes every sum of squares inline.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(0, 1))
     _, calls = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert calls == no_walk(passes=1, squares=0)
+    assert calls == no_walk(reports=1, passes=1, squares=0)
 
 
 @pytest.mark.parametrize("bits", [64, 512])
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 def test_t3_alt_makes_no_s_or_floor_sum_step(bits, h_periods, monkeypatch):
     # t3_alt runs one pass for (a,b;h mod a) and, past the period, one for
-    # (a,b;a-1) and the block sum of squares.
+    # (a,b;a-1) and the block sum of squares, and no _report.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=h_periods)
     value, calls = step_calls(monkeypatch, lambda: t3_alt(a, b, h))
     past = h >= a
-    assert calls == no_walk(passes=1 + past, squares=int(past))
+    assert calls == no_walk(reports=0, passes=1 + past, squares=int(past))
     assert value == t3(a, b, h), (a, b, h)
 
 
@@ -327,11 +348,12 @@ def test_untraced_t1_equals_traced(bits, b_periods, h_periods):
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 @pytest.mark.parametrize("call", [t1, remainder_square_sum])
 def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, call, monkeypatch):
-    # One pass for (a, b mod a; h mod a) and, past the period only, the full
-    # periods' sum_{j<a} j^2.
+    # One _report: one pass for (a, b; h mod a) and, past the period only,
+    # its three full-period sums of squares (T2's block sum and period term,
+    # and sum r_i^2's sum_{j<a} j^2).
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
     _, calls = step_calls(monkeypatch, lambda: call(a, b, h))
-    assert calls == no_walk(passes=1, squares=int(h >= a))
+    assert calls == no_walk(reports=1, passes=1, squares=3 * (h >= a))
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
@@ -341,8 +363,8 @@ def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, c
     ids=["h_below_a", "h_past_a", "b_above_a"],
 )
 def test_untraced_s_value_equals_traced(bits, b_periods, h_periods):
-    # The traced s_value walks S; the untraced one takes sum r_i^2 from the
-    # pass and Q from the untraced Q loop.
+    # The traced s_value walks S; the untraced one takes sum r_i^2 and Q
+    # from one _report.
     a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
     trace = Trace()
     assert s_value(a, b, h) == s_value(a, b, h, trace) == trace.replay(), (a, b, h)
@@ -351,11 +373,11 @@ def test_untraced_s_value_equals_traced(bits, b_periods, h_periods):
 @pytest.mark.parametrize("bits", [64, 512])
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 def test_s_value_makes_one_pass_and_no_s_step(bits, h_periods, monkeypatch):
-    # One pass for sum r_i^2 and one untraced Q, and past the period only
-    # the full periods' sum_{j<a} j^2.
+    # One _report for sum r_i^2 and Q, so no Q loop, and past the period
+    # only its three full-period sums of squares.
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
     _, calls = step_calls(monkeypatch, lambda: s_value(a, b, h))
-    assert calls == {**no_walk(passes=1, squares=int(h >= a)), "_floor_sum": 1}
+    assert calls == no_walk(reports=1, passes=1, squares=3 * (h >= a))
 
 
 @pytest.mark.parametrize("bits", [64, 512])
@@ -364,12 +386,31 @@ def test_t3_makes_one_s_step_per_s_reciprocity_state(bits, h_periods, monkeypatc
     # t3 walks S untraced: one _terms call per reciprocity step of the
     # traced S walk, and one pass, for its T2.
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
-    trace = Trace()
-    s_value(a, b, h, trace)
-    states = sum(step.rule == RULE_RECIPROCITY for step in trace.steps)
+    states = s_states(a, b, h)
     _, calls = step_calls(monkeypatch, lambda: t3(a, b, h))
     assert states > 0
     assert (calls["_terms"], calls["_sums"]) == (states, 1)
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize(
+    "b_periods, h_periods",
+    [((0, 1), (0, 1)), ((0, 1), (1, 3)), ((1, 3), (0, 3))],
+    ids=["h_below_a", "h_past_a", "b_above_a"],
+)
+def test_full_report_engine_calls(bits, b_periods, h_periods, monkeypatch):
+    # q from the Q loop, r2 and t2 from one _report each, and t3 from the S
+    # walk, a second Q loop and a third _report (its t2): three passes, two
+    # Q loops, one S step per S reciprocity state, and past the period each
+    # _report's three full-period sums of squares.
+    a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
+    states = s_states(a, b, h)
+    _, calls = step_calls(monkeypatch, lambda: full_report(Instance(a, b, h)))
+    assert states > 0
+    assert calls == {
+        "_terms": states, "_reciprocity": 0, "_floor_sum": 2,
+        "_report": 3, "_sums": 3, "sum_squares": 9 * (h >= a),
+    }, (a, b, h)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
@@ -379,20 +420,29 @@ def test_t3_makes_one_s_step_per_s_reciprocity_state(bits, h_periods, monkeypatc
     ids=["h_below_a", "h_past_a", "b_above_a"],
 )
 def test_report_equals_the_single_sums(bits, b_periods, h_periods):
-    # _report's one pass and full periods against the Q loop, t2's pass and
-    # the pass for (a, b mod a; h mod a).
+    # _report against routes that never call it: Q from the Q loop, sum r_i^2
+    # = 2a*S - a(a+2)*Q with S from the traced S walk, and T2 from the
+    # traced t2 up to 256 bits (a traced t2 takes about 15 s at 1024 bits),
+    # above that by solving sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3 for T2
+    # with T3 from t3_alt.
     a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
-    want = (floor_sum(Instance(a, b, h)), t2(a, b, h), remainder_square_sum(a, b, h))
-    assert engine._report(a, b, h) == want, (a, b, h)
+    q = floor_sum(Instance(a, b, h))
+    r2 = 2 * a * s_value(a, b, h, Trace()) - a * (a + 2) * q
+    if bits <= 256:
+        t = traced_t2(a, b, h)[0]
+    else:
+        t = Fraction(b * b * sum_squares(h) + a * a * t3_alt(a, b, h) - r2, 2 * a * b)
+    assert engine._report(a, b, h) == (q, t, r2), (a, b, h)
 
 
 def test_report_on_the_edge_cases():
     # a = 1 (so b = 0 after canonicalisation), h = 0, and non-coprime pairs,
-    # whose canonical form _report takes.
+    # whose canonical form _report takes, against the oracle.
     for a, b, h in [(1, 0, 0), (1, 0, 9), (1, 5, 0), (1, 5, 9), (7, 3, 0), (7, 10, 0),
                     (12, 8, 0), (12, 8, 5), (12, 8, 40), (9, 0, 20), (6, 15, 17)]:
         inst, _ = Instance(a, b, h).canonical()
-        want = (floor_sum(inst), t2(a, b, h), remainder_square_sum(a, b, h))
+        report = oracle_report(inst)
+        want = (report.q_sum, report.t2, report.r2_sum)
         assert engine._report(inst.a, inst.b, inst.h) == want, (a, b, h)
 
 
