@@ -27,28 +27,28 @@ steps: the reciprocity and period rules hand the sink that ``walk`` gives
 them to those nested walks, and a traced T2 step keeps their steps as its
 children.  No rule builds a trace.
 
+The period rule's block formula is ``engine._blocks``, whose period term
+T2(a,b;a-1) is a Dedekind sum in closed form; only a traced ``t2`` takes
+it.  A direct t2(a, b, a-1) does not use that closed form: traced, it walks
+the paper's chain.
+
 Untraced, ``t2`` runs none of these walks: it takes T2 from
-``engine._report``, which runs the one integer pass up the chain for
-(a,b;h mod a) and for h >= a adds the full periods by ``engine._blocks``,
-the period rule's block formula, whose period term T2(a,b;a-1) is a
-Dedekind sum in closed form.  The ``engine`` docstring derives all three.
-A direct t2(a, b, a-1) does not use that closed form: traced, it walks the
-paper's chain, and untraced it is one pass up that chain.
+``engine._report``, one integer pass up the chain for (a,b;h) whose terms
+in h // a carry the full periods, so untraced and traced ``t2`` past the
+period check the period term.  The ``engine`` docstring derives both.
 
 t3 walks S, takes Q from ``engine._floor_sum`` and T2 from ``t2``, and
 derives T3 from T1 and T2 by ``models._derive``, which squares
 floor(ib/a) = ib/a - {ib/a}.  It is the one untraced sum that walks S:
 untraced ``s_value`` and ``t1`` take sum r_i^2 from ``engine._report``.
 t3_alt is an independent second route used for cross-validation: it takes
-T3 and Q of (a,b;h mod a) from ``engine._sums`` and, for h >= a, the full
-periods from ``engine._t3_blocks``, which takes T3(a,b;a-1) from the pass
-and never from the period term, so that t3 == t3_alt cross-checks the
-period term too.
+T3 straight from the pass, ``engine._sums``, with no S and no T1/T2
+relation, so t3 == t3_alt checks the S walk against the pass.
 """
 
 from fractions import Fraction
 
-from .engine import _blocks, _report, _sums, _t3_blocks
+from .engine import _blocks, _report, _sums
 from .errors import InvalidArgumentError
 from .floor_sum import floor_sum
 from .floor_sum import _walk as _floor_walk
@@ -115,15 +115,10 @@ def t3(a: int, b: int, h: int) -> int:
 def t3_alt(a: int, b: int, h: int) -> int:
     """T3 by a route independent of the T1/T2 relation; cross-validates t3.
 
-    Takes every (a, b, h) that t3 takes, b >= a and a = 1 included.  For
-    h >= a, splits i = ja + t, so that the full periods take T3(a,b;a-1) and
-    the tail T3(a,b;h mod a) and Q(a,b;h mod a), all from the pass up the T2
-    chain.
+    Takes every (a, b, h) that t3 takes, b >= a, h >= a and a = 1 included,
+    and is one pass up the T2 chain.
     """
-    a, b, h = _canonical(a, b, h)
-    q_blocks, m = divmod(h, a)
-    fm, _, t3_m = _sums(a, b, m)
-    return t3_m + _t3_blocks(a, b, q_blocks, m, fm) if q_blocks else t3_m
+    return _sums(*_canonical(a, b, h))[2]
 
 
 def full_report(inst: Instance) -> SumReport:

@@ -20,7 +20,7 @@ functions do.  All arithmetic is exact rational.
 
 Untraced, ``s_value``, ``t1`` and ``remainder_square_sum`` walk neither S
 nor Q: each makes one ``engine._report`` call, one integer pass up the T2
-chain plus the full periods, and takes sum r_i^2 from it, with
+chain for any h, and takes sum r_i^2 from it, with
 T1 = sum r_i^2 / a^2; ``s_value`` also takes the same call's Q and
 S = (sum r_i^2 + a(a+2)Q)/(2a) by ``models._s``.  A traced ``s_value``
 walks S, and a traced ``t1`` walks S, then Q, and takes

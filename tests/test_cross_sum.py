@@ -132,9 +132,9 @@ class TestT3:
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_routes_agree_past_one_period(self, bits):
-        # h = Qa + m: t3 takes the period reduction (and its Dedekind-sum
-        # period term) through t2, t3_alt its own block split on the paper's
-        # chain.
+        # h = Qa + m: t3 derives T3 from T1, whose S walk takes the period
+        # reduction, and T2; t3_alt takes T3 from the pass up the T2 chain,
+        # whose terms in K = h // a carry the full periods.
         rng = random.Random(bits)
         for _ in range(2):
             a = b = 0

@@ -13,8 +13,8 @@ from floorsums import engine
 
 PACKAGE = Path(engine.__file__).resolve().parent
 MOVED = (
-    "_sums", "_full_period", "_period_term", "_blocks", "_t3_blocks",
-    "_q_blocks", "_floor_sum", "_report",
+    "_sums", "_full_period", "_period_term", "_blocks", "_q_blocks",
+    "_floor_sum", "_report",
 )
 
 

@@ -1,42 +1,42 @@
 """The integer pass up the T2 chain that untraced ``t2``, ``t3_alt``, ``t1``,
 ``remainder_square_sum``, ``s_value`` and ``compute`` take.
 
-``engine._sums`` computes Q, T2 and T3 of (a, b; m) in one pass up the
-T2 chain, carrying the three sums from level to level by the floor-sum
-reciprocity and one division step, with no S; ``engine._report``, from
-which an untraced ``t2`` takes T2, adds the full periods for h >= a.  A
-traced ``t2`` walks the paper's full chain and records every nested step,
-and it is the reference: the untraced value must equal it and its
-``replay()``, at the top state and at every state the chain passes, for
-b < a and for a < b < 3a.  The pass's Q and T3 must equal
-``floor_sum`` and ``t3`` at the top state and at every reciprocity state.
+``engine._sums`` computes Q, T2 and T3 of (a, b; h) for every h >= 0 in one
+pass up the T2 chain, carrying the three sums from level to level by the
+floor-sum reciprocity, its terms in K = h // a, and one division step, with
+no S.  ``engine._report``, from which an untraced ``t2`` takes T2, is that
+one pass and the sum r_i^2 of its T2 and T3.  A traced ``t2`` walks the
+paper's full chain, period rule and Dedekind-sum period term included, and
+records every nested step, and it is the reference: the untraced value must
+equal it and its ``replay()``, at the top state and at every state the chain
+passes, for b < a and for a < b < 3a.  The pass's Q and T3 must equal
+``floor_sum`` and ``t3`` at the top state and at every reciprocity state,
+and ``_sums`` and ``_report`` must equal the oracle on a grid that crosses
+h = Ka for K = 1, 2, 3 and a = 1, and the tail pass plus the traced period
+rule's block formulas at 50 periods and up to 4096 bits.
 
 The pass must also do exactly its own work: one ``_report`` call, one
-pass, no S reciprocity step (no ``square_sum._terms`` evaluation) and no
-floor-sum walk, traced or untraced, also when h >= a and the period rule
-needs Q(a,b;m).  The pass takes its sums of i and i^2 inline, so the only
-``sum_squares`` calls are those of ``_report``'s full periods past the
-period: the block sum and the period term of T2, and the sum of squares of
-sum r_i^2.  ``t3_alt`` takes all it needs from the same pass, and past the
-period from a second pass for (a,b;a-1), with no ``_report``: no S or
-floor-sum step, and never the period term's Dedekind-sum formula, which
-``t3`` past the period uses.  Untraced ``t1``, ``remainder_square_sum`` and
-``s_value`` each make the same one ``_report`` call, with no S or
-floor-sum step; ``t1`` equals the traced ``t1``, which walks S and Q, and
-``s_value`` the traced ``s_value``, which walks S.  ``engine._report``,
-which untraced ``compute`` takes all nine targets from, gives Q, T2 and
-sum r_i^2 from one pass and the full periods, and equals references that
-do not call it: Q from the Q loop, sum r_i^2 from the traced S walk and
-that Q, T2 from the traced ``t2`` or from ``t3_alt`` and that sum r_i^2,
-and all three from the oracle on the edge cases.  Untraced ``compute``
-equals traced ``compute``.  ``t3`` still walks S, one S reciprocity step
-per state of the S chain, and ``full_report`` makes three ``_report``
-calls and two Q loops besides it.  The counts are of ``_report`` calls
-made from ``cross_sum`` and ``square_sum``, and of ``sum_squares`` and
-``_sums`` calls made in ``engine`` and in ``cross_sum``.  The untraced Q,
-``engine._floor_sum``, must equal the pass's Q at every state of the chain.
-The pass's one exactness check, the parity of 2*T2, must turn a wrong sum
-into an ``InternalInvariantError`` that names the state in one short line.
+pass, no S reciprocity step (no ``square_sum._terms`` evaluation), no
+floor-sum walk and no ``sum_squares`` call, traced or untraced, for every
+h.  ``_report`` and ``t3_alt`` are each one ``_sums`` call; no untraced
+``t2``, ``t3``, ``t3_alt`` or ``_report`` reaches the period term or the
+block formula, which only the traced period rule takes.  Untraced ``t1``,
+``remainder_square_sum`` and ``s_value`` each make the same one ``_report``
+call, with no S or floor-sum step; ``t1`` equals the traced ``t1``, which
+walks S and Q, and ``s_value`` the traced ``s_value``, which walks S.
+``engine._report``, which untraced ``compute`` takes all nine targets from,
+equals references that do not call it: Q from the Q loop, sum r_i^2 from the
+traced S walk and that Q, T2 from the traced ``t2``, from ``t3_alt`` and
+that sum r_i^2 below the period, or from the tail pass and the period
+rule's block formula past it.  Untraced ``compute`` equals traced
+``compute``.  ``t3`` still walks S, one S reciprocity step per state of the
+S chain, and ``full_report`` makes three ``_report`` calls and two Q loops
+besides it.  The counts are of ``_report`` calls made from ``cross_sum`` and
+``square_sum``, and of ``sum_squares`` and ``_sums`` calls made in
+``engine`` and in ``cross_sum``.  The untraced Q, ``engine._floor_sum``,
+must equal the pass's Q at every state of the chain.  The pass's one
+exactness check, the parity of 2*T2, must turn a wrong sum into an
+``InternalInvariantError`` that names the state in one short line.
 """
 
 import functools
@@ -67,6 +67,7 @@ from floorsums import (
 )
 from floorsums import engine
 from floorsums.engine import _sums
+from floorsums.models import _r2
 from floorsums.trace import RULE_RECIPROCITY, Trace
 
 # The package attribute floorsums.floor_sum is the function, not the module.
@@ -276,13 +277,11 @@ def test_untraced_q_equals_the_pass_at_every_state(bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
 def test_pass_past_the_period_makes_no_s_or_floor_sum_step(bits, monkeypatch):
-    # The pass gives the period rule's Q(a,b;m) too: one _report, one pass,
-    # no S or floor-sum step, and _report's three sums of squares, two the
-    # period rule's (its block sum and the period term) and one the full
-    # periods' sum_{j<a} j^2 of sum r_i^2.
+    # Past the period the pass carries the full periods itself: one _report,
+    # one pass, no S or floor-sum step and no sum of squares.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=(1, 3))
     _, calls = step_calls(monkeypatch, lambda: t2(a, b, h))
-    assert calls == no_walk(reports=1, passes=1, squares=3)
+    assert calls == no_walk(reports=1, passes=1, squares=0)
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1024])
@@ -297,36 +296,36 @@ def test_pass_makes_no_s_or_floor_sum_step(bits, monkeypatch):
 @pytest.mark.parametrize("bits", [64, 512])
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 def test_t3_alt_makes_no_s_or_floor_sum_step(bits, h_periods, monkeypatch):
-    # t3_alt runs one pass for (a,b;h mod a) and, past the period, one for
-    # (a,b;a-1) and the block sum of squares, and no _report.
+    # t3_alt is one pass for (a,b;h), past the period too, and no _report.
     a, b, h = coprime_instance(bits, random.Random(bits), h_periods=h_periods)
     value, calls = step_calls(monkeypatch, lambda: t3_alt(a, b, h))
-    past = h >= a
-    assert calls == no_walk(reports=0, passes=1 + past, squares=int(past))
+    assert calls == no_walk(reports=0, passes=1, squares=0)
     assert value == t3(a, b, h), (a, b, h)
 
 
 def test_t3_alt_never_takes_the_period_term(monkeypatch):
-    # Past the period t3 takes T2(a,b;a-1) from the Dedekind-sum formula and
-    # t3_alt takes T3(a,b;a-1) from the chain, so t3 == t3_alt checks the
-    # formula.
+    # Past the period only the traced T2 period rule takes the Dedekind-sum
+    # period term and the block formula: no untraced t2, t3, t3_alt or
+    # _report reaches either, and a traced t2 still does.
     cases = [
         (a, b, h)
         for a in range(2, 25)
-        for b in range(1, a)
+        for b in range(1, 2 * a)
         if math.gcd(a, b) == 1
         for h in (a, a + 1, 2 * a + 3, 3 * a + 1)
     ]
     cases += [coprime_instance(bits, random.Random(bits), h_periods=(1, 3)) for bits in (64, 512)]
-    expected = [t3(*case) for case in cases]
+    calls = (t2, t3, t3_alt, engine._report)
+    expected = [[call(*case) for call in calls] for case in cases]
 
-    def refused(a, b):
-        raise AssertionError(f"the period term of {(a, b)} was taken")
+    def refused(*args):
+        raise AssertionError(f"the period term or block formula was taken at {args[:2]}")
 
-    monkeypatch.setattr(engine, "_period_term", refused)
-    with pytest.raises(AssertionError, match="period term"):
-        t3(*cases[0])
-    assert [t3_alt(*case) for case in cases] == expected
+    for module, name in ((engine, "_period_term"), (engine, "_blocks"), (cross_sum, "_blocks")):
+        monkeypatch.setattr(module, name, refused)
+    assert [[call(*case) for call in calls] for case in cases] == expected
+    with pytest.raises(AssertionError, match="period term or block formula"):
+        t2(*cases[0], Trace())
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
@@ -337,7 +336,7 @@ def test_t3_alt_never_takes_the_period_term(monkeypatch):
 )
 def test_untraced_t1_equals_traced(bits, b_periods, h_periods):
     # The traced t1 walks S and Q; the untraced one takes sum r_i^2 from the
-    # pass, with the period term for h >= a and b mod a for b >= a.
+    # pass, whose terms in K = h // a carry the full periods for h >= a.
     a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
     value = t1(a, b, h)
     assert value == t1(a, b, h, Trace()), (a, b, h)
@@ -348,12 +347,11 @@ def test_untraced_t1_equals_traced(bits, b_periods, h_periods):
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 @pytest.mark.parametrize("call", [t1, remainder_square_sum])
 def test_t1_and_remainder_squares_make_no_s_or_floor_sum_step(bits, h_periods, call, monkeypatch):
-    # One _report: one pass for (a, b; h mod a) and, past the period only,
-    # its three full-period sums of squares (T2's block sum and period term,
-    # and sum r_i^2's sum_{j<a} j^2).
+    # One _report, that is one pass for (a, b; h), past the period too, and
+    # no sum of squares.
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
     _, calls = step_calls(monkeypatch, lambda: call(a, b, h))
-    assert calls == no_walk(reports=1, passes=1, squares=3 * (h >= a))
+    assert calls == no_walk(reports=1, passes=1, squares=0)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 2048])
@@ -373,11 +371,11 @@ def test_untraced_s_value_equals_traced(bits, b_periods, h_periods):
 @pytest.mark.parametrize("bits", [64, 512])
 @pytest.mark.parametrize("h_periods", [(0, 1), (1, 3)], ids=["h_below_a", "h_past_a"])
 def test_s_value_makes_one_pass_and_no_s_step(bits, h_periods, monkeypatch):
-    # One _report for sum r_i^2 and Q, so no Q loop, and past the period
-    # only its three full-period sums of squares.
+    # One _report for sum r_i^2 and Q, so no Q loop, and no sum of squares,
+    # past the period too.
     a, b, h = coprime_instance(bits, random.Random(bits), (0, 3), h_periods)
     _, calls = step_calls(monkeypatch, lambda: s_value(a, b, h))
-    assert calls == no_walk(reports=1, passes=1, squares=3 * (h >= a))
+    assert calls == no_walk(reports=1, passes=1, squares=0)
 
 
 @pytest.mark.parametrize("bits", [64, 512])
@@ -401,15 +399,14 @@ def test_t3_makes_one_s_step_per_s_reciprocity_state(bits, h_periods, monkeypatc
 def test_full_report_engine_calls(bits, b_periods, h_periods, monkeypatch):
     # q from the Q loop, r2 and t2 from one _report each, and t3 from the S
     # walk, a second Q loop and a third _report (its t2): three passes, two
-    # Q loops, one S step per S reciprocity state, and past the period each
-    # _report's three full-period sums of squares.
+    # Q loops, one S step per S reciprocity state, and no sum of squares.
     a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
     states = s_states(a, b, h)
     _, calls = step_calls(monkeypatch, lambda: full_report(Instance(a, b, h)))
     assert states > 0
     assert calls == {
         "_terms": states, "_reciprocity": 0, "_floor_sum": 2,
-        "_report": 3, "_sums": 3, "sum_squares": 9 * (h >= a),
+        "_report": 3, "_sums": 3, "sum_squares": 0,
     }, (a, b, h)
 
 
@@ -422,17 +419,68 @@ def test_full_report_engine_calls(bits, b_periods, h_periods, monkeypatch):
 def test_report_equals_the_single_sums(bits, b_periods, h_periods):
     # _report against routes that never call it: Q from the Q loop, sum r_i^2
     # = 2a*S - a(a+2)*Q with S from the traced S walk, and T2 from the
-    # traced t2 up to 256 bits (a traced t2 takes about 15 s at 1024 bits),
-    # above that by solving sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3 for T2
-    # with T3 from t3_alt.
+    # traced t2 up to 256 bits (a traced t2 takes about 15 s at 1024 bits).
+    # Above that, past the period, T2 comes from the traced period rule's
+    # formula: the pass for the tail h mod a and the block formula, which
+    # has no K.  Below the period it comes from solving
+    # sum r_i^2 = b^2*sum i^2 - 2ab*T2 + a^2*T3 for T2 with T3 from t3_alt.
     a, b, h = coprime_instance(bits, random.Random(bits), b_periods, h_periods)
     q = floor_sum(Instance(a, b, h))
     r2 = 2 * a * s_value(a, b, h, Trace()) - a * (a + 2) * q
+    q_blocks, m = divmod(h, a)
     if bits <= 256:
         t = traced_t2(a, b, h)[0]
+    elif q_blocks:
+        t = _sums(a, b, m)[1] + engine._blocks(a, b, q_blocks, m, floor_sum(Instance(a, b, m)))
     else:
         t = Fraction(b * b * sum_squares(h) + a * a * t3_alt(a, b, h) - r2, 2 * a * b)
     assert engine._report(a, b, h) == (q, t, r2), (a, b, h)
+
+
+def test_sums_and_report_equal_the_oracle_across_the_periods():
+    # Every coprime a < 40 and b <= 3a + 2, so a = 1 and b = 1 mod a, whose
+    # chain reaches y = 1 at the top, and h on both sides of Ka for K = 1,
+    # 2, 3, and far past the period.
+    seen = 0
+    for a in range(1, 40):
+        hs = sorted({k * a + e for k in (1, 2, 3) for e in (-1, 0, 1)} | {0, 1, a // 2, 7 * a + 5})
+        for b in range(3 * a + 3):
+            if math.gcd(a, b) != 1:
+                continue
+            for h in hs:
+                report = oracle_report(Instance(a, b, h))
+                assert _sums(a, b, h) == (report.q_sum, report.t2, report.t3), (a, b, h)
+                assert engine._report(a, b, h) == (report.q_sum, report.t2, report.r2_sum), (a, b, h)
+                seen += 1
+    assert seen > 10000
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("b_periods", [(0, 1), (1, 3)], ids=["b_below_a", "b_above_a"])
+def test_report_past_fifty_periods_equals_the_block_formulas(bits, b_periods):
+    # h in [50a, 51a): the pass for h against the pass for the tail m = h mod
+    # a plus the closed-form full periods, Q's _q_blocks, the traced period
+    # rule's T2 block formula and K*sum_{j<a} j^2 of sum r_i^2.
+    a, b, h = coprime_instance(bits, random.Random(bits), b_periods, (50, 51))
+    q_blocks, m = divmod(h, a)
+    q, t, u = _sums(a, b, m)
+    want = (
+        q + engine._q_blocks(a, b, q_blocks, m),
+        t + engine._blocks(a, b, q_blocks, m, q),
+        _r2(a, b, m, t, u) + q_blocks * sum_squares(a - 1),
+    )
+    assert engine._report(a, b, h) == want, (bits, b_periods)
+
+
+def test_report_and_t3_alt_are_one_pass(monkeypatch):
+    # For a = 1, b >= a, h = 0, h < a and h far past the period alike.
+    cases = [(1, 0, 0), (1, 0, 9), (7, 3, 0), (7, 3, 5), (7, 3, 7), (7, 17, 40), (7, 1, 350)]
+    cases += [coprime_instance(bits, random.Random(bits), (0, 3), (0, 51)) for bits in (64, 512)]
+    for case in cases:
+        _, calls = step_calls(monkeypatch, lambda: engine._report(*case))
+        assert calls == no_walk(reports=0, passes=1, squares=0), case
+        _, calls = step_calls(monkeypatch, lambda: t3_alt(*case))
+        assert calls == no_walk(reports=0, passes=1, squares=0), case
 
 
 def test_report_on_the_edge_cases():
